@@ -36,6 +36,11 @@ pub struct ActivationConfig {
 }
 
 impl ActivationConfig {
+    /// The mapping inputs a search with `params` uses.
+    pub(crate) fn of(params: &crate::SearchParams) -> Self {
+        ActivationConfig { alpha: params.alpha, average_distance: params.average_distance }
+    }
+
     /// Minimum activation level for a normalized weight `w ∈ [0, 1]`
     /// (Eqs. 3–5). The result is clamped to `[0, 254]` so that `255`
     /// remains the ∞ sentinel of the hitting-level matrix.
@@ -72,6 +77,25 @@ pub enum ActivationMap<'g> {
 }
 
 impl<'g> ActivationMap<'g> {
+    /// The explicit `table` when present, else levels computed from
+    /// `graph`'s weights under `config`.
+    pub(crate) fn select(
+        graph: &'g KnowledgeGraph,
+        config: ActivationConfig,
+        table: Option<&'g [u8]>,
+    ) -> Self {
+        match table {
+            Some(levels) => ActivationMap::Explicit(levels),
+            None => ActivationMap::Computed { graph, config },
+        }
+    }
+
+    /// The map a search with `params` uses over `graph`.
+    pub(crate) fn for_params(graph: &'g KnowledgeGraph, params: &'g crate::SearchParams) -> Self {
+        let table = params.explicit_activation.as_deref().map(Vec::as_slice);
+        Self::select(graph, ActivationConfig::of(params), table)
+    }
+
     /// Minimum activation level of `v`.
     #[inline]
     pub fn level(&self, v: NodeId) -> u8 {

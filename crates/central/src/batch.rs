@@ -26,9 +26,12 @@
 //! * identification per lane is the sequential scan — the solo parallel
 //!   engines sort their identification output, so all engines agree on
 //!   ascending order;
-//! * the expansion kernels are verbatim lane-indexed ports of
-//!   [`crate::bottom_up`]'s, and Theorem V.2 makes their scheduling
-//!   irrelevant within a level;
+//! * the expansion kernels are [`crate::bottom_up`]'s, run against the
+//!   lane's [`LaneView`] of the shared state, and Theorem V.2 makes their
+//!   scheduling irrelevant within a level;
+//! * each lane steps the solo engines' round driver (`driver`),
+//!   so its checkpoints, termination and trace bookkeeping are the solo
+//!   run's;
 //! * budget trackers are per-lane, so each lane charges exactly the units
 //!   the solo run charges, in the same per-frontier order.
 //!
@@ -46,19 +49,17 @@
 //! mid-sweep fails only its own lane at that lane's next checkpoint.
 
 use crate::activation::{ActivationConfig, ActivationMap};
-use crate::bottom_up::{LevelTrace, TerminationReason};
+use crate::bottom_up::{self, ExpandCtx, LevelObservation, TerminationReason};
 use crate::budget::{BudgetTracker, QueryBudget};
-use crate::engine::{SearchOutcome, SearchStats};
+use crate::driver::{self, Armed, Rounds, Transport};
+use crate::engine::SearchOutcome;
 use crate::error::SearchError;
 use crate::metrics::{Counter, HistogramSnapshot, LogHistogram};
-use crate::model::{CentralGraph, INFINITE_LEVEL};
-use crate::profile::PhaseProfile;
+use crate::model::INFINITE_LEVEL;
 use crate::shard::{ShardBackend, ShardedSearch};
-use crate::state::HitLevels;
-use crate::top_down;
-use crate::trace::{PhaseMillis, QueryTrace, TraceLevelRecord};
+use crate::state::{HitLevels, LevelStore};
 use crate::SearchParams;
-use kgraph::{KnowledgeGraph, NodeId};
+use kgraph::KnowledgeGraph;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -293,7 +294,7 @@ impl BatchState {
         for (lane, query) in queries.iter().enumerate() {
             for (i, group) in query.groups.iter().enumerate() {
                 for &v in &group.nodes {
-                    let cell = self.cell(v.0, lane, i);
+                    let cell = self.lane(lane).cell(v.0, i);
                     *self.matrix[cell].get_mut() = 0;
                     *self.frontier[v.index()].get_mut() |= 1 << lane;
                     self.is_keyword[lane * self.kw_words + v.index() / 64] |= 1 << (v.index() % 64);
@@ -302,57 +303,11 @@ impl BatchState {
         }
     }
 
-    /// Keyword count `q_j` of lane `lane`.
+    /// Lane `lane`'s view of the state.
     #[inline]
-    pub fn lane_keywords(&self, lane: usize) -> usize {
-        self.offsets[lane + 1] - self.offsets[lane]
-    }
-
-    /// Matrix cell index of `(v, lane, i)`: lane `lane`'s block starts at
-    /// `n·offsets[lane]` and is `n × q_lane` row-major.
-    #[inline]
-    fn cell(&self, v: u32, lane: usize, i: usize) -> usize {
-        let off = self.offsets[lane];
-        self.n * off + v as usize * (self.offsets[lane + 1] - off) + i
-    }
-
-    /// Flag index of `(v, lane)` — lane-major for the same locality
-    /// reason as the matrix.
-    #[inline]
-    fn flag(&self, v: u32, lane: usize) -> usize {
-        lane * self.n + v as usize
-    }
-
-    /// Hitting level `M[v][lane][i]` (255 = not yet hit).
-    #[inline]
-    pub fn hit(&self, v: u32, lane: usize, i: usize) -> u8 {
-        self.matrix[self.cell(v, lane, i)].load(Ordering::Relaxed)
-    }
-
-    /// Record a hit for lane `lane`: racing writers store the same byte
-    /// (Theorem V.2), so a plain store suffices.
-    #[inline]
-    pub fn set_hit(&self, v: u32, lane: usize, i: usize, level: u8) {
-        self.matrix[self.cell(v, lane, i)].store(level, Ordering::Relaxed);
-    }
-
-    /// `true` if lane `lane` has hit `v` in every BFS instance (Def. 3).
-    #[inline]
-    pub fn row_complete(&self, v: u32, lane: usize) -> bool {
-        let base = self.cell(v, lane, 0);
-        let q = self.lane_keywords(lane);
-        self.matrix[base..base + q]
-            .iter()
-            .all(|m| m.load(Ordering::Relaxed) != INFINITE_LEVEL)
-    }
-
-    /// Set lane `lane`'s frontier bit on `v`. Concurrent markers land on
-    /// the same word, so this is an atomic OR: bits from racing lanes
-    /// merge losslessly, and re-marking is idempotent (Theorem V.2's
-    /// argument — the final word is order-independent).
-    #[inline]
-    pub fn mark_frontier(&self, v: u32, lane: usize) {
-        self.frontier[v as usize].fetch_or(1 << lane, Ordering::Relaxed);
+    pub fn lane(&self, lane: usize) -> LaneView<'_> {
+        let q = self.offsets[lane + 1] - self.offsets[lane];
+        LaneView { state: self, lane, base: self.n * self.offsets[lane], q }
     }
 
     /// Read and clear the whole lane mask on `v`. The load-then-swap
@@ -368,132 +323,87 @@ impl BatchState {
             cell.swap(0, Ordering::Relaxed)
         }
     }
+}
 
-    /// `true` if lane `lane` identified `v` as a Central Node.
+/// One lane of a [`BatchState`] through the single-query storage traits:
+/// what the bottom-up kernels write ([`LevelStore`]) and the unchanged
+/// top-down extractor reads ([`HitLevels`]).
+pub struct LaneView<'a> {
+    state: &'a BatchState,
+    lane: usize,
+    /// Start of the lane's `n × q` row-major matrix block.
+    base: usize,
+    /// The lane's keyword count `q_j`.
+    q: usize,
+}
+
+impl LaneView<'_> {
+    /// Matrix cell index of `(v, i)` in this lane's block.
     #[inline]
-    pub fn is_central(&self, v: u32, lane: usize) -> bool {
-        self.central[self.flag(v, lane)].load(Ordering::Relaxed) != 0
+    fn cell(&self, v: u32, i: usize) -> usize {
+        self.base + v as usize * self.q + i
     }
 
-    /// Mark `v` central for lane `lane`, identified at `depth`.
+    /// `CIdentifier` index of `v` — lane-major for the same locality
+    /// reason as the matrix.
     #[inline]
-    pub fn mark_central(&self, v: u32, lane: usize, depth: u8) {
-        debug_assert!(depth < u8::MAX);
-        self.central[self.flag(v, lane)].store(depth + 1, Ordering::Relaxed);
+    fn flag(&self, v: u32) -> usize {
+        self.lane * self.state.n + v as usize
     }
+}
 
-    /// The identification depth of `v` in lane `lane`, if central.
+impl HitLevels for LaneView<'_> {
     #[inline]
-    pub fn central_depth(&self, v: u32, lane: usize) -> Option<u8> {
-        match self.central[self.flag(v, lane)].load(Ordering::Relaxed) {
+    fn num_keywords(&self) -> usize {
+        self.q
+    }
+    #[inline]
+    fn hit(&self, v: u32, i: usize) -> u8 {
+        self.state.matrix[self.cell(v, i)].load(Ordering::Relaxed)
+    }
+    #[inline]
+    fn is_keyword_node(&self, v: u32) -> bool {
+        let words = &self.state.is_keyword[self.lane * self.state.kw_words..];
+        words[v as usize / 64] >> (v % 64) & 1 != 0
+    }
+    #[inline]
+    fn central_depth(&self, v: u32) -> Option<u8> {
+        match self.state.central[self.flag(v)].load(Ordering::Relaxed) {
             0 => None,
             d => Some(d - 1),
         }
     }
+}
 
-    /// `true` if `v` holds at least one of lane `lane`'s query keywords.
+impl LevelStore for LaneView<'_> {
+    /// Racing writers store the same byte (Theorem V.2), so a plain store
+    /// suffices.
     #[inline]
-    pub fn is_keyword_node(&self, v: u32, lane: usize) -> bool {
-        self.is_keyword[lane * self.kw_words + v as usize / 64] >> (v % 64) & 1 != 0
+    fn set_hit(&self, v: u32, i: usize, level: u8) {
+        self.state.matrix[self.cell(v, i)].store(level, Ordering::Relaxed);
     }
-}
-
-/// One lane of a [`BatchState`] through the single-query [`HitLevels`]
-/// lens — what the unchanged top-down extractor reads.
-pub struct LaneView<'a> {
-    state: &'a BatchState,
-    lane: usize,
-}
-
-impl HitLevels for LaneView<'_> {
-    fn num_keywords(&self) -> usize {
-        self.state.lane_keywords(self.lane)
+    #[inline]
+    fn row_complete(&self, v: u32) -> bool {
+        let base = self.cell(v, 0);
+        let row = &self.state.matrix[base..base + self.q];
+        row.iter().all(|m| m.load(Ordering::Relaxed) != INFINITE_LEVEL)
     }
-    fn hit(&self, v: u32, i: usize) -> u8 {
-        self.state.hit(v, self.lane, i)
+    /// Concurrent markers land on the same word, so this is an atomic OR:
+    /// bits from racing lanes merge losslessly, and re-marking is
+    /// idempotent (Theorem V.2's argument — the final word is
+    /// order-independent).
+    #[inline]
+    fn mark_frontier(&self, v: u32) {
+        self.state.frontier[v as usize].fetch_or(1 << self.lane, Ordering::Relaxed);
     }
-    fn is_keyword_node(&self, v: u32) -> bool {
-        self.state.is_keyword_node(v, self.lane)
+    #[inline]
+    fn is_central(&self, v: u32) -> bool {
+        self.state.central[self.flag(v)].load(Ordering::Relaxed) != 0
     }
-    fn central_depth(&self, v: u32) -> Option<u8> {
-        self.state.central_depth(v, self.lane)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lane-indexed expansion kernels (verbatim ports of crate::bottom_up)
-// ---------------------------------------------------------------------------
-
-/// Everything one lane's expansion step needs.
-#[derive(Clone, Copy)]
-struct LaneCtx<'a> {
-    graph: &'a KnowledgeGraph,
-    act: &'a ActivationMap<'a>,
-    state: &'a BatchState,
-    budget: &'a BudgetTracker,
-    lane: usize,
-    q: usize,
-}
-
-/// Expand one frontier node across all of one lane's BFS instances —
-/// [`crate::bottom_up::expand_frontier`] with lane-indexed state.
-#[inline]
-fn expand_lane_frontier(ctx: &LaneCtx<'_>, f: u32, level: u8) {
-    if ctx.budget.cancelled() {
-        return;
-    }
-    ctx.budget.charge(ctx.q as u64);
-    if ctx.state.is_central(f, ctx.lane) {
-        return;
-    }
-    let vf = NodeId(f);
-    if ctx.act.level(vf) > level {
-        ctx.state.mark_frontier(f, ctx.lane);
-        return;
-    }
-    for i in 0..ctx.q {
-        expand_lane_instance(ctx, f, vf, i, level);
-    }
-}
-
-/// Expand one `(frontier, instance)` pair of one lane —
-/// [`crate::bottom_up::expand_work_item`] with lane-indexed state.
-#[inline]
-fn expand_lane_work_item(ctx: &LaneCtx<'_>, f: u32, i: usize, level: u8) {
-    if ctx.budget.cancelled() {
-        return;
-    }
-    ctx.budget.charge(1);
-    if ctx.state.is_central(f, ctx.lane) {
-        return;
-    }
-    let vf = NodeId(f);
-    if ctx.act.level(vf) > level {
-        ctx.state.mark_frontier(f, ctx.lane);
-        return;
-    }
-    expand_lane_instance(ctx, f, vf, i, level);
-}
-
-/// Inner loop shared by both granularities (Alg. 2 lines 8–22, one lane).
-#[inline]
-fn expand_lane_instance(ctx: &LaneCtx<'_>, f: u32, vf: NodeId, i: usize, level: u8) {
-    let state = ctx.state;
-    let hf = state.hit(f, ctx.lane, i);
-    if hf > level {
-        return; // includes the ∞ sentinel
-    }
-    for adj in ctx.graph.neighbors(vf) {
-        let n = adj.target().0;
-        if state.hit(n, ctx.lane, i) != INFINITE_LEVEL {
-            continue;
-        }
-        if !state.is_keyword_node(n, ctx.lane) && ctx.act.level(adj.target()) > level + 1 {
-            state.mark_frontier(f, ctx.lane);
-            continue;
-        }
-        state.set_hit(n, ctx.lane, i, level + 1);
-        state.mark_frontier(n, ctx.lane);
+    #[inline]
+    fn mark_central(&self, v: u32, depth: u8) {
+        debug_assert!(depth < u8::MAX);
+        self.state.central[self.flag(v)].store(depth + 1, Ordering::Relaxed);
     }
 }
 
@@ -511,41 +421,64 @@ enum LaneStatus {
     Failed(SearchError),
 }
 
-/// The per-lane mutable run state of one fused sweep.
+/// The per-lane run state of one fused sweep: the driver's round state
+/// plus what the lane's transport reads.
 struct LaneRun<'a> {
     /// Index into the submitted request slice (demux address).
     slot: usize,
-    /// Lane index inside the [`BatchState`].
-    lane: usize,
-    query: &'a ParsedQuery,
+    view: LaneView<'a>,
     params: &'a SearchParams,
     act: ActivationMap<'a>,
     tracker: BudgetTracker,
-    q: usize,
-    max_level: u8,
-    profile: PhaseProfile,
+    rounds: Rounds,
+    /// This level's frontier, filled by the fused enqueue scan.
     frontiers: Vec<u32>,
-    newly: Vec<u32>,
-    central_nodes: Vec<(NodeId, u8)>,
-    peak_frontier: usize,
-    trace: Vec<LevelTrace>,
-    records: Option<Vec<TraceLevelRecord>>,
-    last_level: u8,
     status: LaneStatus,
 }
 
-impl LaneRun<'_> {
-    fn running(&self) -> bool {
-        matches!(self.status, LaneStatus::Running)
-    }
+/// One lane's transport: the fused scan has already drained the lane's
+/// frontier; identification and expansion run on its block of the shared
+/// state with the solo kernels.
+struct LaneLink<'a> {
+    backend: ShardBackend,
+    pool: &'a rayon::ThreadPool,
+    graph: &'a KnowledgeGraph,
+    view: &'a LaneView<'a>,
+    act: &'a ActivationMap<'a>,
+    budget: &'a BudgetTracker,
+    frontiers: &'a [u32],
 }
 
-/// Per-lane pre-flight verdict.
-enum PreFlight {
-    /// Short-circuited before the sweep (empty query, early budget trip).
-    Short(Result<SearchOutcome, SearchError>),
-    /// Armed and ready to join the fused sweep.
-    Join(BudgetTracker),
+impl Transport for LaneLink<'_> {
+    type Error = SearchError;
+
+    fn enqueue(&mut self) -> Result<usize, SearchError> {
+        Ok(self.frontiers.len())
+    }
+
+    fn identify(
+        &mut self,
+        level: u8,
+        traced: bool,
+        newly: &mut Vec<u32>,
+    ) -> Result<LevelObservation, SearchError> {
+        Ok(bottom_up::identify(
+            None,
+            self.view,
+            self.act,
+            self.frontiers,
+            level,
+            traced,
+            newly,
+        ))
+    }
+
+    fn expand(&mut self, level: u8) -> Result<(), SearchError> {
+        let ctx =
+            ExpandCtx { graph: self.graph, act: self.act, state: self.view, budget: self.budget };
+        self.backend.expand(Some(self.pool), &ctx, self.frontiers, level);
+        Ok(())
+    }
 }
 
 /// Executes batches of queries as fused multi-query sweeps on a leased
@@ -638,11 +571,11 @@ impl BatchExecutor {
             let name = self.backend.base_name();
             match catch_unwind(AssertUnwindSafe(|| pre_flight(graph, req, name))) {
                 Err(payload) => results[slot] = Some(LaneOutcome::Panicked(payload)),
-                Ok(PreFlight::Short(verdict)) => {
+                Ok(Armed::Done(verdict)) => {
                     let verdict = verdict.map(|out| annotate(out, batch_id, co));
                     results[slot] = Some(LaneOutcome::Done(verdict));
                 }
-                Ok(PreFlight::Join(tracker)) => joiners.push((slot, tracker)),
+                Ok(Armed::Search(tracker)) => joiners.push((slot, tracker)),
             }
         }
 
@@ -671,59 +604,34 @@ impl BatchExecutor {
                     }
                     let key = (p.alpha.to_bits(), p.average_distance.to_bits());
                     if !act_tables.iter().any(|(k, _)| *k == key) {
-                        let config = ActivationConfig {
-                            alpha: p.alpha,
-                            average_distance: p.average_distance,
-                        };
-                        let table = (0..graph.num_nodes() as u32)
-                            .map(|v| config.level_for_weight(graph.weight(NodeId(v))))
-                            .collect();
+                        let table = ActivationMap::for_params(graph, p).table(graph.num_nodes());
                         act_tables.push((key, table));
                     }
                 }
             }
             let init = t.elapsed();
 
+            let state: &BatchState = state;
             let mut lanes: Vec<LaneRun<'_>> = joiners
                 .into_iter()
                 .enumerate()
                 .map(|(lane, (slot, tracker))| {
-                    let req = &requests[slot];
-                    let act = match &req.params.explicit_activation {
-                        Some(levels) => ActivationMap::Explicit(levels),
-                        None => {
-                            let key =
-                                (req.params.alpha.to_bits(), req.params.average_distance.to_bits());
-                            match act_tables.iter().find(|(k, _)| *k == key) {
-                                Some((_, table)) => ActivationMap::Explicit(table),
-                                None => ActivationMap::Computed {
-                                    graph,
-                                    config: ActivationConfig {
-                                        alpha: req.params.alpha,
-                                        average_distance: req.params.average_distance,
-                                    },
-                                },
-                            }
-                        }
-                    };
-                    let profile = PhaseProfile { init, ..PhaseProfile::default() };
+                    let params = &requests[slot].params;
+                    let key = (params.alpha.to_bits(), params.average_distance.to_bits());
+                    let table =
+                        params.explicit_activation.as_deref().map(Vec::as_slice).or_else(|| {
+                            act_tables.iter().find(|(k, _)| *k == key).map(|(_, t)| t.as_slice())
+                        });
+                    let mut rounds = Rounds::new(params);
+                    rounds.profile.init = init;
                     LaneRun {
                         slot,
-                        lane,
-                        query: &req.query,
-                        params: &req.params,
-                        act,
+                        view: state.lane(lane),
+                        params,
+                        act: ActivationMap::select(graph, ActivationConfig::of(params), table),
                         tracker,
-                        q: req.query.num_keywords(),
-                        max_level: req.params.max_level.min(254),
-                        profile,
+                        rounds,
                         frontiers: Vec::new(),
-                        newly: Vec::new(),
-                        central_nodes: Vec::new(),
-                        peak_frontier: 0,
-                        trace: Vec::new(),
-                        records: req.params.trace.enabled().then(Vec::new),
-                        last_level: 0,
                         status: LaneStatus::Running,
                     }
                 })
@@ -734,7 +642,7 @@ impl BatchExecutor {
             for lane in lanes {
                 let slot = lane.slot;
                 let verdict =
-                    self.finalize_lane(graph, state, lane).map(|out| annotate(out, batch_id, co));
+                    self.finalize_lane(graph, lane).map(|out| annotate(out, batch_id, co));
                 results[slot] = Some(LaneOutcome::Done(verdict));
             }
         }
@@ -746,23 +654,15 @@ impl BatchExecutor {
     }
 
     /// The fused level-synchronous loop: one node-space scan per level
-    /// drains every lane's frontier bits at once, then each lane runs its
-    /// identification and its own expansion back to back — the lane's
-    /// matrix and flag block stays cache-hot between the two touches, and
-    /// per-lane work never grows with the batch width.
+    /// drains every lane's frontier bits at once, then each lane steps
+    /// the driver's round — identification and its own expansion back to
+    /// back — so the lane's matrix and flag block stays cache-hot between
+    /// the two touches, and per-lane work never grows with the batch
+    /// width.
     fn fused_sweep(&self, graph: &KnowledgeGraph, state: &BatchState, lanes: &mut [LaneRun<'_>]) {
-        let n = graph.num_nodes();
-        let mut level: u8 = 0;
         loop {
-            // Per-lane level checkpoint (the solo driver's `checkpoint()?`):
-            // a tripped budget fails only its own lane.
-            for lane in lanes.iter_mut().filter(|l| l.running()) {
-                if let Err(e) = lane.tracker.checkpoint() {
-                    lane.status = LaneStatus::Failed(e);
-                }
-            }
             let mut running: Vec<&mut LaneRun<'_>> =
-                lanes.iter_mut().filter(|l| l.running()).collect();
+                lanes.iter_mut().filter(|l| matches!(l.status, LaneStatus::Running)).collect();
             if running.is_empty() {
                 break;
             }
@@ -771,210 +671,70 @@ impl BatchExecutor {
             // every lane's frontier bits at once — a single mask word read
             // per node, whatever the batch width — preserving each lane's
             // solo (ascending node id) frontier order. Stale bits left by
-            // lanes that already terminated are dropped by the
-            // running-lane mask.
+            // lanes that already stopped are dropped by the running-lane
+            // mask.
             let t = Instant::now();
             let mut running_mask = 0u64;
             for lane in running.iter_mut() {
                 lane.frontiers.clear();
-                running_mask |= 1 << lane.lane;
+                running_mask |= 1 << lane.view.lane;
             }
-            for v in 0..n as u32 {
+            for v in 0..graph.num_nodes() as u32 {
                 let mask = state.take_frontier_mask(v) & running_mask;
                 if mask == 0 {
                     continue;
                 }
                 for lane in running.iter_mut() {
-                    if mask & (1 << lane.lane) != 0 {
+                    if mask & (1 << lane.view.lane) != 0 {
                         lane.frontiers.push(v);
                     }
                 }
             }
             let enqueue = t.elapsed();
 
-            // Lane-blocked identify + expand, each lane in the solo
-            // driver's exact phase order. Lanes are data-independent
-            // (disjoint matrix/flag blocks, disjoint frontier bits), so
-            // running lane B's whole level after lane A's is one of the
-            // schedules Theorem V.2 already covers.
-            let mut any_expanded = false;
-            for lane in running.iter_mut() {
-                lane.profile.enqueue += enqueue;
-                lane.peak_frontier = lane.peak_frontier.max(lane.frontiers.len());
-                let t = Instant::now();
-                if lane.frontiers.is_empty() {
-                    lane.last_level = level;
-                    lane.status = LaneStatus::Finished(TerminationReason::FrontierExhausted);
-                    lane.profile.identify += t.elapsed();
-                    continue;
+            // Lane-blocked rounds, each lane in the solo driver's exact
+            // phase order. Lanes are data-independent (disjoint
+            // matrix/flag blocks, disjoint frontier bits), so running lane
+            // B's whole level after lane A's is one of the schedules
+            // Theorem V.2 already covers; a tripped budget fails only its
+            // own lane, at its own checkpoint.
+            for lane in running {
+                lane.rounds.profile.enqueue += enqueue;
+                let mut link = LaneLink {
+                    backend: self.backend,
+                    pool: &self.compute,
+                    graph,
+                    view: &lane.view,
+                    act: &lane.act,
+                    budget: &lane.tracker,
+                    frontiers: &lane.frontiers,
+                };
+                match lane.rounds.step(&mut link, &lane.tracker) {
+                    Ok(None) => {}
+                    Ok(Some(done)) => lane.status = LaneStatus::Finished(done),
+                    Err(e) => lane.status = LaneStatus::Failed(e),
                 }
-                lane.newly.clear();
-                for &f in &lane.frontiers {
-                    if !state.is_central(f, lane.lane) && state.row_complete(f, lane.lane) {
-                        state.mark_central(f, lane.lane, level);
-                        lane.newly.push(f);
-                    }
-                }
-                lane.trace.push(LevelTrace {
-                    level,
-                    frontier: lane.frontiers.len(),
-                    identified: lane.newly.len(),
-                });
-                if lane.records.is_some() {
-                    let rec = observe_lane_level(state, lane, level);
-                    if let Some(records) = lane.records.as_mut() {
-                        records.push(rec);
-                    }
-                }
-                let newly = std::mem::take(&mut lane.newly);
-                lane.central_nodes.extend(newly.iter().map(|&f| (NodeId(f), level)));
-                lane.newly = newly;
-                if lane.central_nodes.len() >= lane.params.top_k {
-                    lane.last_level = level;
-                    lane.status = LaneStatus::Finished(TerminationReason::EnoughCentralNodes);
-                } else if level >= lane.max_level {
-                    lane.last_level = level;
-                    lane.status = LaneStatus::Finished(TerminationReason::LevelCap);
-                }
-                lane.profile.identify += t.elapsed();
-                if !lane.running() {
-                    continue;
-                }
-                any_expanded = true;
-                let before = lane.records.is_some().then(|| lane.tracker.expansions());
-                let t = Instant::now();
-                self.expand_lane(graph, state, lane, level);
-                lane.profile.expansion += t.elapsed();
-                if let Some(before) = before {
-                    if let Some(last) = lane.records.as_mut().and_then(|r| r.last_mut()) {
-                        last.expansions = lane.tracker.expansions() - before;
-                        last.budget_remaining = lane.tracker.remaining();
-                    }
-                }
-            }
-            if !any_expanded {
-                // Every lane terminated or failed this level; the sweep
-                // is over.
-                break;
-            }
-            level += 1;
-        }
-    }
-
-    /// Expand one lane's frontier with the backend's kernel granularity —
-    /// the solo engine's expansion phase verbatim, against lane-indexed
-    /// state. The tracker sees exactly the solo charge sequence.
-    fn expand_lane(
-        &self,
-        graph: &KnowledgeGraph,
-        state: &BatchState,
-        lane: &LaneRun<'_>,
-        level: u8,
-    ) {
-        use rayon::prelude::*;
-        let ctx = LaneCtx {
-            graph,
-            act: &lane.act,
-            state,
-            budget: &lane.tracker,
-            lane: lane.lane,
-            q: lane.q,
-        };
-        match self.backend {
-            ShardBackend::Seq | ShardBackend::DynPar(_) => {
-                for &f in &lane.frontiers {
-                    expand_lane_frontier(&ctx, f, level);
-                }
-            }
-            ShardBackend::ParCpu(_) => {
-                self.compute.install(|| {
-                    lane.frontiers.par_iter().for_each(|&f| expand_lane_frontier(&ctx, f, level))
-                });
-            }
-            ShardBackend::GpuStyle(_) => {
-                // The warp grid: one work item per (frontier, instance),
-                // charging one unit each — the solo GPU-style totals.
-                let items: Vec<(u32, usize)> =
-                    lane.frontiers.iter().flat_map(|&f| (0..lane.q).map(move |i| (f, i))).collect();
-                self.compute.install(|| {
-                    items.par_iter().for_each(|&(f, i)| expand_lane_work_item(&ctx, f, i, level));
-                });
             }
         }
     }
 
-    /// Top-down per lane: extract, prune, rank through the unchanged
-    /// single-query extractor reading this lane's [`LaneView`].
+    /// Top-down per lane through the driver's shared stage, reading this
+    /// lane's [`LaneView`]; parallel backends extract on the pool.
     fn finalize_lane(
         &self,
         graph: &KnowledgeGraph,
-        state: &BatchState,
-        mut lane: LaneRun<'_>,
+        lane: LaneRun<'_>,
     ) -> Result<SearchOutcome, SearchError> {
         let terminated = match lane.status {
             LaneStatus::Failed(e) => return Err(e),
-            LaneStatus::Finished(term) => term,
+            LaneStatus::Finished(done) => done,
             LaneStatus::Running => unreachable!("the sweep only ends once every lane settles"),
         };
-        lane.central_nodes.truncate(lane.params.max_candidates);
-        let view = LaneView { state, lane: lane.lane };
-        let tracker = &lane.tracker;
-        let act = &lane.act;
-        let params = lane.params;
-        let t = Instant::now();
-        let extract_one = |&(c, d): &(NodeId, u8)| {
-            if tracker.should_stop() {
-                return None;
-            }
-            let e = top_down::extract(graph, act, &view, c.0, d);
-            Some(top_down::prune_and_score(graph, &view, &e, params))
-        };
-        let candidates: Option<Vec<CentralGraph>> = match self.backend {
-            ShardBackend::Seq | ShardBackend::DynPar(_) => {
-                lane.central_nodes.iter().map(extract_one).collect()
-            }
-            ShardBackend::ParCpu(_) | ShardBackend::GpuStyle(_) => self.compute.install(|| {
-                use rayon::prelude::*;
-                lane.central_nodes.par_iter().map(extract_one).collect()
-            }),
-        };
-        let Some(candidates) = candidates else {
-            return Err(tracker
-                .error()
-                .expect("a stopped top-down stage implies a tripped budget"));
-        };
-        let answers = top_down::select_top_k(candidates, params);
-        lane.profile.top_down = t.elapsed();
-
-        let trace = lane.records.take().map(|levels| {
-            Box::new(QueryTrace {
-                engine: self.backend.base_name().to_string(),
-                keywords: lane.query.num_keywords(),
-                total_expansions: lane.tracker.expansions(),
-                terminated: terminated == TerminationReason::LevelCap,
-                levels,
-                cache: None,
-                session_id: None,
-                session_queries: None,
-                batch_id: None, // stamped by `annotate` with the batch id
-                co_batched: None,
-                phase_ms: PhaseMillis::from(&lane.profile),
-                qid: None,
-                cache_source_qid: None,
-                shard_timelines: None,
-            })
-        });
-        Ok(SearchOutcome {
-            answers,
-            profile: lane.profile,
-            stats: SearchStats {
-                last_level: lane.last_level,
-                central_candidates: lane.central_nodes.len(),
-                peak_frontier: lane.peak_frontier,
-                trace: lane.trace,
-            },
-            trace,
-        })
+        let name = self.backend.base_name();
+        let pool = self.backend.parallel().then_some(&self.compute);
+        let (params, budget) = (lane.params, &lane.tracker);
+        lane.rounds
+            .finish(terminated, name, graph, &lane.act, &lane.view, params, budget, pool)
     }
 
     /// Run a batch against a sharded coordinator: each lane flows through
@@ -1017,17 +777,13 @@ fn annotate(mut out: SearchOutcome, batch_id: u64, co: usize) -> SearchOutcome {
     out
 }
 
-/// The solo driver's pre-search sequence for one lane: validate, arm the
-/// tracker, checkpoint, inject faults, short-circuit empty queries.
-/// Mirrors `run_matrix_search` up to the state arming.
-fn pre_flight(graph: &KnowledgeGraph, req: &BatchRequest, name: &str) -> PreFlight {
-    if let Err(e) = req.params.validate() {
-        panic!("invalid search parameters: {e}");
-    }
-    if let Some(levels) = &req.params.explicit_activation {
-        // The solo path would panic on the first out-of-range node access
-        // mid-expansion; fail fast here so the panic stays on this lane
-        // instead of unwinding the shared sweep.
+/// The driver's pre-flight for one lane, plus a fail-fast check of an
+/// explicit activation table: the solo path would panic on the first
+/// out-of-range node access mid-expansion; failing here keeps the panic
+/// on this lane instead of unwinding the shared sweep.
+fn pre_flight(graph: &KnowledgeGraph, req: &BatchRequest, name: &str) -> Armed {
+    let armed = driver::arm(&req.query, &req.params, &req.budget, name, None);
+    if let (Armed::Search(_), Some(levels)) = (&armed, &req.params.explicit_activation) {
         assert!(
             levels.len() >= graph.num_nodes(),
             "explicit activation table holds {} levels for {} nodes",
@@ -1035,53 +791,7 @@ fn pre_flight(graph: &KnowledgeGraph, req: &BatchRequest, name: &str) -> PreFlig
             graph.num_nodes()
         );
     }
-    let tracker = if req.params.trace.enabled() {
-        req.budget.start_counting()
-    } else {
-        req.budget.start()
-    };
-    if let Err(e) = tracker.checkpoint() {
-        return PreFlight::Short(Err(e));
-    }
-    #[cfg(feature = "fault-inject")]
-    if let Err(e) = crate::fault::inject(&req.query, &tracker) {
-        return PreFlight::Short(Err(e));
-    }
-    if req.query.is_empty() {
-        let mut out = SearchOutcome::default();
-        if req.params.trace.enabled() {
-            out.trace =
-                Some(Box::new(QueryTrace { engine: name.to_string(), ..QueryTrace::default() }));
-        }
-        return PreFlight::Short(Ok(out));
-    }
-    PreFlight::Join(tracker)
-}
-
-/// Rich trace record for one lane's level — the lane-indexed
-/// [`crate::bottom_up`] `observe_level`.
-fn observe_lane_level(state: &BatchState, lane: &LaneRun<'_>, level: u8) -> TraceLevelRecord {
-    let mut new_hits = 0usize;
-    let mut activation_deferred = 0usize;
-    for &f in &lane.frontiers {
-        for i in 0..lane.q {
-            if state.hit(f, lane.lane, i) == level {
-                new_hits += 1;
-            }
-        }
-        if lane.act.level(NodeId(f)) > level {
-            activation_deferred += 1;
-        }
-    }
-    TraceLevelRecord {
-        level: u32::from(level),
-        frontier: lane.frontiers.len(),
-        identified: lane.newly.len(),
-        new_hits,
-        activation_deferred,
-        expansions: 0, // filled in after this level's expansion runs
-        budget_remaining: lane.tracker.remaining(),
-    }
+    armed
 }
 
 // ---------------------------------------------------------------------------
@@ -1524,14 +1234,14 @@ mod tests {
         let q2 = ParsedQuery::parse(&idx, "sql query");
         let mut s = BatchState::empty();
         s.begin_batch(g.num_nodes(), &[&q1, &q2]);
-        s.set_hit(4, 0, 0, 3);
-        s.mark_central(4, 1, 2);
-        assert_eq!(s.hit(4, 0, 0), 3);
-        assert!(s.is_central(4, 1));
+        s.lane(0).set_hit(4, 0, 3);
+        s.lane(1).mark_central(4, 2);
+        assert_eq!(s.lane(0).hit(4, 0), 3);
+        assert!(s.lane(1).is_central(4));
         s.begin_batch(g.num_nodes(), &[&q2]);
-        assert!(!s.is_central(4, 0), "previous batch's marks must not leak");
-        assert_eq!(s.hit(0, 0, 0), INFINITE_LEVEL, "x is not a source of sql");
-        assert_eq!(s.hit(2, 0, 0), 0, "s is the sql source");
+        assert!(!s.lane(0).is_central(4), "previous batch's marks must not leak");
+        assert_eq!(s.lane(0).hit(0, 0), INFINITE_LEVEL, "x is not a source of sql");
+        assert_eq!(s.lane(0).hit(2, 0), 0, "s is the sql source");
     }
 
     #[test]
@@ -1542,17 +1252,17 @@ mod tests {
         let mut s = BatchState::empty();
         s.begin_batch(g.num_nodes(), &wide);
         for lane in 0..8 {
-            s.set_hit(4, lane, 1, 9);
-            s.mark_central(4, lane, 3);
+            s.lane(lane).set_hit(4, 1, 9);
+            s.lane(lane).mark_central(4, 3);
         }
         // Narrowing reuses the same (larger) buffers; nothing from the
         // wide batch may leak through, whatever the lane now maps to.
         s.begin_batch(g.num_nodes(), &[&q]);
-        assert_eq!(s.hit(4, 0, 1), INFINITE_LEVEL, "wide-batch write must not survive");
-        assert!(!s.is_central(4, 0));
-        assert_eq!(s.hit(0, 0, 0), 0, "sources re-seeded after the re-arm");
-        assert!(s.is_keyword_node(0, 0));
-        assert!(!s.is_keyword_node(2, 0), "s holds no keyword of \"xml rdf\"");
+        assert_eq!(s.lane(0).hit(4, 1), INFINITE_LEVEL, "wide-batch write must not survive");
+        assert!(!s.lane(0).is_central(4));
+        assert_eq!(s.lane(0).hit(0, 0), 0, "sources re-seeded after the re-arm");
+        assert!(s.lane(0).is_keyword_node(0));
+        assert!(!s.lane(0).is_keyword_node(2), "s holds no keyword of \"xml rdf\"");
     }
 
     // --- Batcher unit + model tests ---------------------------------------

@@ -1,47 +1,57 @@
 //! Stage 1: bottom-up search (paper Algorithm 1 lines 1–7 and
 //! Algorithm 2), solving the top-(k,d) Central Graph problem.
 //!
-//! The driver is level-synchronous: per level it (1) drains `FIdentifier`
-//! into the joint frontier queue, (2) identifies Central Nodes among the
-//! frontiers (Lemma V.1), (3) stops if `k` central nodes exist (Def. 4 —
-//! the current level is then the minimal depth `d`), and otherwise
-//! (4) runs the expansion procedure. How each step is scheduled (sequential,
-//! coarse-grained rayon, or GPU-kernel-style fine-grained) is delegated to
-//! an [`ExecStrategy`]; the *semantics* are identical across strategies,
-//! which the property suite verifies.
+//! This module holds the kernels of one level, written once over the
+//! [`LevelStore`] storage trait: (1) drain `FIdentifier` into the joint
+//! frontier queue, (2) identify Central Nodes among the frontiers
+//! (Lemma V.1), and (4) run the expansion procedure. It also holds the one
+//! mapping from a backend to its expansion granularity
+//! (`ShardBackend::expand`). The level-synchronous loop that sequences
+//! the kernels — including step (3), stopping once `k` central nodes
+//! exist (Def. 4) — lives in the crate's `driver` module. How each step
+//! is scheduled (sequential, coarse-grained rayon, or GPU-kernel-style
+//! fine-grained) never changes its *semantics*, which the property suite
+//! verifies.
 
 use crate::activation::ActivationMap;
 use crate::budget::BudgetTracker;
-use crate::error::SearchError;
-use crate::profile::PhaseProfile;
-use crate::state::SearchState;
-use crate::trace::TraceLevelRecord;
-use crate::{model::INFINITE_LEVEL, SearchParams};
+use crate::model::INFINITE_LEVEL;
+use crate::shard::ShardBackend;
+use crate::state::{HitLevels, LevelStore, SearchState};
 use kgraph::{KnowledgeGraph, NodeId};
-use std::time::Instant;
+use rayon::prelude::*;
 
 /// Everything an expansion step needs (read-only except for `state`'s
 /// atomics).
-#[derive(Clone, Copy)]
-pub struct ExpandCtx<'a> {
+pub struct ExpandCtx<'a, S = SearchState> {
     /// The data graph.
     pub graph: &'a KnowledgeGraph,
     /// Activation oracle (`a_v` from `w_v` and `α`, or explicit).
     pub act: &'a ActivationMap<'a>,
     /// Shared lock-free search state.
-    pub state: &'a SearchState,
+    pub state: &'a S,
     /// Budget accounting: every expansion unit is charged here, and a
     /// tripped budget makes further expansion a no-op (the driver then
     /// surfaces the error at its next level checkpoint).
     pub budget: &'a BudgetTracker,
 }
 
+// Manual impls: a derive would demand `S: Copy`, but the fields are all
+// references.
+impl<S> Clone for ExpandCtx<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S> Copy for ExpandCtx<'_, S> {}
+
 /// Expand one frontier node across **all** BFS instances — the body of
 /// Algorithm 2's outer loop. This is the unit of work of the coarse-grained
 /// CPU strategy (one OpenMP/rayon task per frontier, dynamically
 /// scheduled).
 #[inline]
-pub fn expand_frontier(ctx: &ExpandCtx<'_>, f: u32, level: u8) {
+pub fn expand_frontier<S: LevelStore>(ctx: &ExpandCtx<'_, S>, f: u32, level: u8) {
     let state = ctx.state;
     if ctx.budget.cancelled() {
         return;
@@ -66,7 +76,7 @@ pub fn expand_frontier(ctx: &ExpandCtx<'_>, f: u32, level: u8) {
 /// Expand one `(frontier, BFS instance)` pair — the body of Algorithm 2's
 /// middle loop, and the warp-level work item of the GPU strategy.
 #[inline]
-pub fn expand_work_item(ctx: &ExpandCtx<'_>, f: u32, i: usize, level: u8) {
+pub fn expand_work_item<S: LevelStore>(ctx: &ExpandCtx<'_, S>, f: u32, i: usize, level: u8) {
     let state = ctx.state;
     if ctx.budget.cancelled() {
         return;
@@ -86,14 +96,16 @@ pub fn expand_work_item(ctx: &ExpandCtx<'_>, f: u32, i: usize, level: u8) {
 /// Inner loop shared by both granularities: push instance `i` of frontier
 /// `f` one step (Alg. 2 lines 8–22).
 #[inline]
-fn expand_instance(ctx: &ExpandCtx<'_>, f: u32, vf: NodeId, i: usize, level: u8) {
+fn expand_instance<S: LevelStore>(ctx: &ExpandCtx<'_, S>, f: u32, vf: NodeId, i: usize, level: u8) {
     let state = ctx.state;
     // The frontier must already be hit in this instance (line 9–11).
     let hf = state.hit(f, i);
     if hf > level {
         return; // includes the ∞ sentinel
     }
-    for adj in ctx.graph.neighbors(vf) {
+    let adjacency = ctx.graph.neighbors(vf);
+    state.tally_work_item(adjacency.len());
+    for adj in adjacency {
         let n = adj.target().0;
         // Visited in B_i already (lines 13–15): both ∞→l+1 races and
         // stale reads are benign — any finite value means "skip".
@@ -108,6 +120,50 @@ fn expand_instance(ctx: &ExpandCtx<'_>, f: u32, vf: NodeId, i: usize, level: u8)
         }
         state.set_hit(n, i, level + 1); // line 21
         state.mark_frontier(n); // line 22
+    }
+}
+
+/// Run `job` on `pool` when given, else on the caller's ambient pool.
+pub(crate) fn in_pool<R>(pool: Option<&rayon::ThreadPool>, job: impl FnOnce() -> R) -> R {
+    match pool {
+        Some(pool) => pool.install(job),
+        None => job(),
+    }
+}
+
+impl ShardBackend {
+    /// Run one level's expansion over `frontiers` at this backend's kernel
+    /// granularity — the one place a backend selects an expansion kernel.
+    /// `Seq` and `CPU-Par-d` loop over the frontiers in order, `CPU-Par`
+    /// runs one task per frontier (the paper's dynamic OpenMP schedule),
+    /// and `GPU-Par` one task per `(frontier, instance)` work item (the
+    /// warp grid). Parallel kernels run on `pool`, or on the ambient pool
+    /// when `None`.
+    pub(crate) fn expand<S: LevelStore>(
+        self,
+        pool: Option<&rayon::ThreadPool>,
+        ctx: &ExpandCtx<'_, S>,
+        frontiers: &[u32],
+        level: u8,
+    ) {
+        match self {
+            ShardBackend::Seq | ShardBackend::DynPar(_) => {
+                for &f in frontiers {
+                    expand_frontier(ctx, f, level);
+                }
+            }
+            ShardBackend::ParCpu(_) => in_pool(pool, || {
+                frontiers.par_iter().for_each(|&f| expand_frontier(ctx, f, level));
+            }),
+            ShardBackend::GpuStyle(_) => {
+                let q = ctx.state.num_keywords();
+                in_pool(pool, || {
+                    (0..frontiers.len() * q).into_par_iter().for_each(|w| {
+                        expand_work_item(ctx, frontiers[w / q], w % q, level);
+                    });
+                });
+            }
+        }
     }
 }
 
@@ -134,7 +190,6 @@ pub fn enqueue_parallel_compaction(
     out: &mut Vec<u32>,
     block: usize,
 ) {
-    use rayon::prelude::*;
     out.clear();
     let n = state.num_nodes();
     let blocks: Vec<Vec<u32>> = pool.install(|| {
@@ -162,8 +217,8 @@ pub fn enqueue_parallel_compaction(
 /// a frontier whose `M` row is complete is newly central, with depth =
 /// current level (Lemma V.1). Returns the newly identified nodes (sorted,
 /// since frontiers are produced in id order).
-pub fn identify_sequential(
-    state: &SearchState,
+pub fn identify_sequential<S: LevelStore>(
+    state: &S,
     frontiers: &[u32],
     level: u8,
     newly: &mut Vec<u32>,
@@ -177,16 +232,76 @@ pub fn identify_sequential(
     }
 }
 
-/// How each phase of one level executes. Implementations live in
-/// [`crate::engine`].
-pub trait ExecStrategy {
-    /// Drain `FIdentifier` into `out`.
-    fn enqueue(&self, state: &SearchState, out: &mut Vec<u32>);
-    /// Identify new Central Nodes among `frontiers` at `level` (their
-    /// depth, per Lemma V.1), appending them to `newly`.
-    fn identify(&self, state: &SearchState, frontiers: &[u32], level: u8, newly: &mut Vec<u32>);
-    /// Run the expansion procedure for one level.
-    fn expand(&self, ctx: &ExpandCtx<'_>, frontiers: &[u32], level: u8);
+/// Central Node identification at `level` — in parallel over the
+/// frontiers on `pool` (each frontier is touched by exactly one task, so
+/// the central flag needs no lock; the result is sorted into the
+/// sequential scan's order), or sequentially without one — plus, for
+/// traced queries, the level's [`LevelObservation`].
+pub(crate) fn identify<S: LevelStore>(
+    pool: Option<&rayon::ThreadPool>,
+    state: &S,
+    act: &ActivationMap<'_>,
+    frontiers: &[u32],
+    level: u8,
+    traced: bool,
+    newly: &mut Vec<u32>,
+) -> LevelObservation {
+    match pool {
+        Some(pool) => {
+            newly.clear();
+            let mut found: Vec<u32> = pool.install(|| {
+                frontiers
+                    .par_iter()
+                    .copied()
+                    .filter(|&f| {
+                        if !state.is_central(f) && state.row_complete(f) {
+                            state.mark_central(f, level);
+                            true
+                        } else {
+                            false
+                        }
+                    })
+                    .collect()
+            });
+            found.sort_unstable(); // deterministic identification order
+            newly.extend(found);
+        }
+        None => identify_sequential(state, frontiers, level, newly),
+    }
+    if traced {
+        observe(state, act, frontiers, level)
+    } else {
+        LevelObservation::default()
+    }
+}
+
+/// What a traced level records beyond its frontier size and cohort.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct LevelObservation {
+    /// Keyword-hit cells `(frontier, instance)` first covered at this
+    /// level.
+    pub(crate) new_hits: usize,
+    /// Frontier nodes still gated by their activation level.
+    pub(crate) activation_deferred: usize,
+}
+
+/// The traced observation of one level over `frontiers`: O(frontier · q)
+/// scans, paid only on traced queries.
+fn observe<H: HitLevels>(
+    state: &H,
+    act: &ActivationMap<'_>,
+    frontiers: &[u32],
+    level: u8,
+) -> LevelObservation {
+    let q = state.num_keywords();
+    let mut seen = LevelObservation::default();
+    for &f in frontiers {
+        seen.new_hits += (0..q).filter(|&i| state.hit(f, i) == level).count();
+        if act.level(NodeId(f)) > level {
+            seen.activation_deferred += 1;
+        }
+    }
+    seen
 }
 
 /// Why the bottom-up stage stopped.
@@ -211,172 +326,17 @@ pub struct LevelTrace {
     pub identified: usize,
 }
 
-/// Reusable scratch buffers of the level-synchronous driver: the joint
-/// frontier queue and the per-level identification buffer. A
-/// [`crate::session::SearchSession`] keeps one across queries so the warm
-/// path re-enters [`run`] with capacity already grown to the working set.
-#[derive(Default)]
-pub struct BottomUpScratch {
-    /// Joint frontier queue, refilled per level by `ExecStrategy::enqueue`.
-    pub frontiers: Vec<u32>,
-    /// Central Nodes newly identified at the current level.
-    pub newly: Vec<u32>,
-}
-
-/// Result of the bottom-up stage.
-#[derive(Debug)]
-pub struct BottomUpOutcome {
-    /// Identified Central Nodes with their depths, in identification order
-    /// (ascending depth, then node id).
-    pub central_nodes: Vec<(NodeId, u8)>,
-    /// The last BFS level processed.
-    pub last_level: u8,
-    /// Why the search stopped.
-    pub terminated: TerminationReason,
-    /// Peak size of the joint frontier queue (reported by experiments).
-    pub peak_frontier: usize,
-    /// One entry per processed level (frontier size, identifications).
-    pub trace: Vec<LevelTrace>,
-    /// Rich per-level records, collected only when the query asked for
-    /// tracing (`params.trace`); `None` on the untraced path.
-    pub records: Option<Vec<TraceLevelRecord>>,
-}
-
-/// Run the bottom-up stage with the given strategy. `ctx.state` must be
-/// freshly armed for the query (sources seeded); `scratch` may carry
-/// capacity from earlier queries. Phase timings are accumulated into
-/// `profile`. The `ctx.budget` tracker is checkpointed at every level
-/// boundary and charged inside the expansion procedure; a tripped budget
-/// aborts the stage with the corresponding [`SearchError`].
-pub fn run<S: ExecStrategy>(
-    strategy: &S,
-    ctx: &ExpandCtx<'_>,
-    scratch: &mut BottomUpScratch,
-    params: &SearchParams,
-    profile: &mut PhaseProfile,
-) -> Result<BottomUpOutcome, SearchError> {
-    let ExpandCtx { state, budget, .. } = *ctx;
-    let max_level = params.max_level.min(254);
-    let BottomUpScratch { frontiers, newly } = scratch;
-    let mut central_nodes: Vec<(NodeId, u8)> = Vec::new();
-    let mut peak_frontier = 0usize;
-    let mut trace: Vec<LevelTrace> = Vec::new();
-    let mut records: Option<Vec<TraceLevelRecord>> = params.trace.enabled().then(Vec::new);
-    let mut level: u8 = 0;
-    let terminated = loop {
-        budget.checkpoint()?;
-        let t = Instant::now();
-        strategy.enqueue(state, frontiers);
-        profile.enqueue += t.elapsed();
-        peak_frontier = peak_frontier.max(frontiers.len());
-        if frontiers.is_empty() {
-            break TerminationReason::FrontierExhausted;
-        }
-
-        let t = Instant::now();
-        strategy.identify(state, frontiers, level, newly);
-        profile.identify += t.elapsed();
-        trace.push(LevelTrace { level, frontier: frontiers.len(), identified: newly.len() });
-        if let Some(recs) = records.as_mut() {
-            recs.push(observe_level(ctx, frontiers, newly, level));
-        }
-        central_nodes.extend(newly.iter().map(|&f| (NodeId(f), level)));
-        if central_nodes.len() >= params.top_k {
-            break TerminationReason::EnoughCentralNodes;
-        }
-        if level >= max_level {
-            break TerminationReason::LevelCap;
-        }
-
-        let charged_before = if records.is_some() {
-            budget.expansions()
-        } else {
-            0
-        };
-        let t = Instant::now();
-        strategy.expand(ctx, frontiers, level);
-        profile.expansion += t.elapsed();
-        if let Some(last) = records.as_mut().and_then(|r| r.last_mut()) {
-            last.expansions = budget.expansions() - charged_before;
-            last.budget_remaining = budget.remaining();
-        }
-        level += 1;
-    };
-    Ok(BottomUpOutcome {
-        central_nodes,
-        last_level: level,
-        terminated,
-        peak_frontier,
-        trace,
-        records,
-    })
-}
-
-/// Build the rich trace record for one level: how many keyword-hit cells
-/// were first covered here and how many frontier nodes are still gated by
-/// their activation level. O(frontier · q) scans, paid only on traced
-/// queries.
-fn observe_level(
-    ctx: &ExpandCtx<'_>,
-    frontiers: &[u32],
-    newly: &[u32],
-    level: u8,
-) -> TraceLevelRecord {
-    let state = ctx.state;
-    let q = state.num_keywords();
-    let mut new_hits = 0usize;
-    let mut activation_deferred = 0usize;
-    for &f in frontiers {
-        for i in 0..q {
-            if state.hit(f, i) == level {
-                new_hits += 1;
-            }
-        }
-        if ctx.act.level(NodeId(f)) > level {
-            activation_deferred += 1;
-        }
-    }
-    TraceLevelRecord {
-        level: u32::from(level),
-        frontier: frontiers.len(),
-        identified: newly.len(),
-        new_hits,
-        activation_deferred,
-        expansions: 0, // filled in after this level's expansion runs
-        budget_remaining: ctx.budget.remaining(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::activation::ActivationMap;
     use crate::budget::QueryBudget;
+    use crate::driver::tests::{run_seq, BottomUpOutcome};
+    use crate::error::SearchError;
+    use crate::SearchParams;
     use kgraph::GraphBuilder;
     use std::time::Duration;
     use textindex::{InvertedIndex, ParsedQuery};
-
-    /// Sequential strategy for driver tests (the engines define their own).
-    struct Seq;
-    impl ExecStrategy for Seq {
-        fn enqueue(&self, state: &SearchState, out: &mut Vec<u32>) {
-            enqueue_sequential(state, out);
-        }
-        fn identify(
-            &self,
-            state: &SearchState,
-            frontiers: &[u32],
-            level: u8,
-            newly: &mut Vec<u32>,
-        ) {
-            identify_sequential(state, frontiers, level, newly);
-        }
-        fn expand(&self, ctx: &ExpandCtx<'_>, frontiers: &[u32], level: u8) {
-            for &f in frontiers {
-                expand_frontier(ctx, f, level);
-            }
-        }
-    }
 
     fn run_on(
         g: &KnowledgeGraph,
@@ -389,11 +349,9 @@ mod tests {
         let state = SearchState::new(g.num_nodes(), &q);
         let act = ActivationMap::Explicit(&activation);
         let params = SearchParams::default().with_top_k(top_k);
-        let mut profile = PhaseProfile::default();
         let budget = QueryBudget::unlimited().start();
         let ctx = ExpandCtx { graph: g, act: &act, state: &state, budget: &budget };
-        let out = run(&Seq, &ctx, &mut BottomUpScratch::default(), &params, &mut profile)
-            .expect("unlimited budget");
+        let out = run_seq(ctx, &params).expect("unlimited budget");
         (out, state)
     }
 
@@ -521,11 +479,9 @@ mod tests {
         let act = ActivationMap::Explicit(&activation);
         let params = SearchParams::default().with_top_k(5);
         let params = SearchParams { max_level: 6, ..params };
-        let mut profile = PhaseProfile::default();
         let budget = QueryBudget::unlimited().start();
         let ctx = ExpandCtx { graph: &g, act: &act, state: &state, budget: &budget };
-        let out = run(&Seq, &ctx, &mut BottomUpScratch::default(), &params, &mut profile)
-            .expect("unlimited budget");
+        let out = run_seq(ctx, &params).expect("unlimited budget");
         assert_eq!(out.terminated, TerminationReason::LevelCap);
         assert!(out.central_nodes.is_empty());
         assert_eq!(out.last_level, 6);
@@ -541,10 +497,9 @@ mod tests {
         let activation = vec![0u8; g.num_nodes()];
         let act = ActivationMap::Explicit(&activation);
         let params = SearchParams::default().with_top_k(10);
-        let mut profile = PhaseProfile::default();
         let tracker = budget.start();
         let ctx = ExpandCtx { graph: &g, act: &act, state: &state, budget: &tracker };
-        run(&Seq, &ctx, &mut BottomUpScratch::default(), &params, &mut profile)
+        run_seq(ctx, &params)
     }
 
     #[test]
@@ -623,11 +578,9 @@ mod tests {
         let state = SearchState::new(g.num_nodes(), &q);
         let act = ActivationMap::Explicit(&activation);
         let params = SearchParams::default().with_top_k(1);
-        let mut profile = PhaseProfile::default();
         let budget = QueryBudget::unlimited().start();
         let ctx = ExpandCtx { graph: &g, act: &act, state: &state, budget: &budget };
-        let out = run(&Seq, &ctx, &mut BottomUpScratch::default(), &params, &mut profile)
-            .expect("unlimited budget");
+        let out = run_seq(ctx, &params).expect("unlimited budget");
         assert_eq!(out.central_nodes.len(), 1);
         let (central, depth) = out.central_nodes[0];
         assert_eq!(central, ids[2], "v2 is the Central Node");

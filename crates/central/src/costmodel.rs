@@ -10,18 +10,21 @@
 //! BFS over CSR is bandwidth-bound (the premise of the paper's Sec. V-B
 //! discussion and of the GPU-BFS literature it cites).
 //!
-//! [`count_work`] replays the bottom-up stage with instrumented sequential
-//! expansion (property-tested to identify the same central nodes as the
-//! real engines) and tallies traffic per phase; [`HardwareModel`] converts
-//! the tallies into projected times.
+//! [`count_work`] runs the bottom-up stage through the engines' own round
+//! driver and kernels, on a storage view that tallies traffic per phase;
+//! [`HardwareModel`] converts the tallies into projected times.
 
 use crate::activation::ActivationMap;
-use crate::bottom_up::{enqueue_sequential, identify_sequential};
-use crate::model::INFINITE_LEVEL;
-use crate::state::SearchState;
+use crate::bottom_up::{ExpandCtx, TerminationReason};
+use crate::budget::QueryBudget;
+use crate::driver::{Local, Rounds};
+use crate::shard::ShardBackend;
+use crate::state::{HitLevels, LevelStore, SearchState};
+use crate::trace::TraceLevel;
 use crate::SearchParams;
-use kgraph::{KnowledgeGraph, NodeId};
+use kgraph::KnowledgeGraph;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 use textindex::ParsedQuery;
 
 /// Byte/operation tallies of one bottom-up search.
@@ -112,88 +115,109 @@ impl HardwareModel {
     }
 }
 
-/// Replay the bottom-up stage sequentially, counting all traffic. The
-/// identified central nodes must (and, by test, do) match the real
-/// engines'.
+/// Run the bottom-up stage through the round driver with the sequential
+/// kernels on a counting view of the state, tallying all traffic. The
+/// identified central nodes are the real engines' by construction.
 pub fn count_work(
     graph: &KnowledgeGraph,
     query: &ParsedQuery,
     params: &SearchParams,
 ) -> WorkMeasure {
-    let mut work = WorkMeasure::default();
     if query.is_empty() {
-        return work;
+        return WorkMeasure::default();
     }
     let state = SearchState::new(graph.num_nodes(), query);
-    let explicit = params.explicit_activation.clone();
-    let act = match &explicit {
-        Some(levels) => ActivationMap::Explicit(levels),
-        None => ActivationMap::Computed {
-            graph,
-            config: crate::activation::ActivationConfig {
-                alpha: params.alpha,
-                average_distance: params.average_distance,
-            },
-        },
+    let counting = Counting {
+        state: &state,
+        matrix_reads: AtomicU64::new(0),
+        matrix_writes: AtomicU64::new(0),
+        work_items: AtomicU64::new(0),
+        adjacency_scans: AtomicU64::new(0),
     };
-    let q = state.num_keywords();
-    let max_level = params.max_level.min(254);
-    let mut frontiers: Vec<u32> = Vec::new();
-    let mut newly: Vec<u32> = Vec::new();
-    let mut central = 0usize;
-    let mut level: u8 = 0;
-    loop {
-        enqueue_sequential(&state, &mut frontiers);
-        work.flag_scans += state.num_nodes() as u64;
-        work.frontier_entries += frontiers.len() as u64;
-        if frontiers.is_empty() {
-            break;
-        }
-        identify_sequential(&state, &frontiers, level, &mut newly);
-        work.matrix_reads += frontiers.len() as u64 * q as u64;
-        central += newly.len();
-        work.central_nodes = central as u64;
-        if central >= params.top_k || level >= max_level {
-            break;
-        }
-        // Instrumented expansion (mirrors bottom_up::expand_frontier).
-        for &f in &frontiers {
-            if state.is_central(f) {
-                continue;
-            }
-            let vf = NodeId(f);
-            if act.level(vf) > level {
-                state.mark_frontier(f);
-                continue;
-            }
-            for i in 0..q {
-                work.matrix_reads += 1;
-                let hf = state.hit(f, i);
-                if hf > level {
-                    continue;
-                }
-                work.work_items += 1;
-                for adj in graph.neighbors(vf) {
-                    work.adjacency_scans += 1;
-                    let n = adj.target().0;
-                    work.matrix_reads += 1;
-                    if state.hit(n, i) != INFINITE_LEVEL {
-                        continue;
-                    }
-                    if !state.is_keyword_node(n) && act.level(adj.target()) > level + 1 {
-                        state.mark_frontier(f);
-                        continue;
-                    }
-                    state.set_hit(n, i, level + 1);
-                    work.matrix_writes += 1;
-                    state.mark_frontier(n);
-                }
-            }
-        }
-        level += 1;
-        work.levels = level as u32;
+    let act = ActivationMap::for_params(graph, params);
+    let budget = QueryBudget::unlimited().start();
+    // Untraced: the trace observation's reads are not search traffic.
+    let params = SearchParams { trace: TraceLevel::Off, ..params.clone() };
+    let mut rounds = Rounds::new(&params);
+    let mut frontiers = Vec::new();
+    let ctx = ExpandCtx { graph, act: &act, state: &counting, budget: &budget };
+    let mut link = Local {
+        backend: ShardBackend::Seq,
+        pool: None,
+        flags: &state,
+        ctx,
+        frontiers: &mut frontiers,
+    };
+    let terminated =
+        rounds.run(&mut link, &budget).expect("an unlimited budget cannot be exceeded");
+
+    // Every level entered drains the whole flag array once; the last
+    // enqueue of an exhausted search finds it empty.
+    let enqueues =
+        rounds.trace.len() + usize::from(terminated == TerminationReason::FrontierExhausted);
+    let frontier_entries: u64 = rounds.trace.iter().map(|l| l.frontier as u64).sum();
+    let tally = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    WorkMeasure {
+        levels: u32::from(rounds.level),
+        frontier_entries,
+        flag_scans: (enqueues * graph.num_nodes()) as u64,
+        work_items: tally(&counting.work_items),
+        adjacency_scans: tally(&counting.adjacency_scans),
+        // Identification reads one matrix row per frontier.
+        matrix_reads: tally(&counting.matrix_reads)
+            + frontier_entries * query.num_keywords() as u64,
+        matrix_writes: tally(&counting.matrix_writes),
+        central_nodes: rounds.cohort.len() as u64,
     }
-    work
+}
+
+/// A [`SearchState`] as the kernels see it, with their expansion traffic
+/// tallied on the way through.
+struct Counting<'a> {
+    state: &'a SearchState,
+    matrix_reads: AtomicU64,
+    matrix_writes: AtomicU64,
+    work_items: AtomicU64,
+    adjacency_scans: AtomicU64,
+}
+
+impl HitLevels for Counting<'_> {
+    fn num_keywords(&self) -> usize {
+        self.state.num_keywords()
+    }
+    fn hit(&self, v: u32, i: usize) -> u8 {
+        self.matrix_reads.fetch_add(1, Ordering::Relaxed);
+        self.state.hit(v, i)
+    }
+    fn is_keyword_node(&self, v: u32) -> bool {
+        self.state.is_keyword_node(v)
+    }
+    fn central_depth(&self, v: u32) -> Option<u8> {
+        self.state.central_depth(v)
+    }
+}
+
+impl LevelStore for Counting<'_> {
+    fn set_hit(&self, v: u32, i: usize, level: u8) {
+        self.matrix_writes.fetch_add(1, Ordering::Relaxed);
+        self.state.set_hit(v, i, level);
+    }
+    fn row_complete(&self, v: u32) -> bool {
+        self.state.row_complete(v)
+    }
+    fn mark_frontier(&self, v: u32) {
+        self.state.mark_frontier(v);
+    }
+    fn is_central(&self, v: u32) -> bool {
+        self.state.is_central(v)
+    }
+    fn mark_central(&self, v: u32, depth: u8) {
+        self.state.mark_central(v, depth);
+    }
+    fn tally_work_item(&self, degree: usize) {
+        self.work_items.fetch_add(1, Ordering::Relaxed);
+        self.adjacency_scans.fetch_add(degree as u64, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]

@@ -12,15 +12,16 @@ pub use par_cpu::ParCpuEngine;
 pub use par_dyn::DynParEngine;
 pub use seq::SeqEngine;
 
-use crate::activation::{ActivationConfig, ActivationMap};
-use crate::bottom_up::{self, ExecStrategy};
+use crate::activation::ActivationMap;
+use crate::bottom_up::ExpandCtx;
 use crate::budget::QueryBudget;
+use crate::driver::{self, Armed, Local, Rounds};
 use crate::error::SearchError;
 use crate::model::CentralGraph;
 use crate::profile::PhaseProfile;
 use crate::session::SearchSession;
-use crate::top_down;
-use crate::trace::{PhaseMillis, QueryTrace};
+use crate::shard::ShardBackend;
+use crate::trace::QueryTrace;
 use crate::SearchParams;
 use kgraph::KnowledgeGraph;
 use std::time::Instant;
@@ -135,13 +136,13 @@ pub trait KeywordSearchEngine {
     }
 }
 
-/// Shared driver for the three matrix-based engines (sequential, CPU-Par,
-/// GPU-style): re-arm the session's state → bottom-up via `strategy` →
-/// top-down (optionally parallel over central nodes via `pool`).
-#[allow(clippy::too_many_arguments)] // internal driver; args mirror the trait call plus strategy/pool
-pub(crate) fn run_matrix_search<S: ExecStrategy>(
-    strategy: &S,
-    name: &'static str,
+/// Shared entry of the three matrix-based engines (sequential, CPU-Par,
+/// GPU-style): re-arm the session's state and drive the rounds over it as
+/// one local partition with `backend`'s kernels, then run top-down on
+/// `pool` (or sequentially without one).
+#[allow(clippy::too_many_arguments)] // internal entry; args mirror the trait call plus backend/pool
+pub(crate) fn run_matrix_search(
+    backend: ShardBackend,
     pool: Option<&rayon::ThreadPool>,
     session: &mut SearchSession,
     graph: &KnowledgeGraph,
@@ -149,31 +150,12 @@ pub(crate) fn run_matrix_search<S: ExecStrategy>(
     params: &SearchParams,
     budget: &QueryBudget,
 ) -> Result<SearchOutcome, SearchError> {
-    if let Err(e) = params.validate() {
-        panic!("invalid search parameters: {e}");
-    }
-    // Tracing arms the tracker in counting mode so per-level expansion
-    // deltas are observable even without a cap; the untraced unlimited
-    // path keeps its zero-atomic charge fast path.
-    let tracker = if params.trace.enabled() {
-        budget.start_counting()
-    } else {
-        budget.start()
+    let name = backend.base_name();
+    let tracker = match driver::arm(query, params, budget, name, None) {
+        Armed::Search(tracker) => tracker,
+        Armed::Done(verdict) => return verdict,
     };
-    // An already-expired deadline fails deterministically before any work.
-    tracker.checkpoint()?;
-    #[cfg(feature = "fault-inject")]
-    crate::fault::inject(query, &tracker)?;
-    if query.is_empty() {
-        let mut out = SearchOutcome::default();
-        if params.trace.enabled() {
-            // A trace with no levels: nothing matched, no search ran.
-            out.trace =
-                Some(Box::new(QueryTrace { engine: name.to_string(), ..QueryTrace::default() }));
-        }
-        return Ok(out);
-    }
-    let mut profile = PhaseProfile::default();
+    let mut rounds = Rounds::new(params);
 
     // Initialization phase: arm M / FIdentifier / CIdentifier for this
     // query (epoch bump + source seeding; allocation only on first use or
@@ -181,93 +163,14 @@ pub(crate) fn run_matrix_search<S: ExecStrategy>(
     let t = Instant::now();
     session.state.begin_query(graph.num_nodes(), query);
     session.queries_run += 1;
-    profile.init = t.elapsed();
-    let SearchSession { ref state, scratch, .. } = session;
+    rounds.profile.init = t.elapsed();
+    let SearchSession { ref state, frontiers, .. } = session;
 
-    let explicit = params.explicit_activation.clone();
-    let act = match &explicit {
-        Some(levels) => ActivationMap::Explicit(levels),
-        None => ActivationMap::Computed {
-            graph,
-            config: ActivationConfig {
-                alpha: params.alpha,
-                average_distance: params.average_distance,
-            },
-        },
-    };
-
-    let ctx = bottom_up::ExpandCtx { graph, act: &act, state, budget: &tracker };
-    let mut outcome = bottom_up::run(strategy, &ctx, scratch, params, &mut profile)?;
-
-    // Top-down processing: extract, prune, rank. The candidate cohort is
-    // ordered shallowest-first, so a cap keeps the best-depth prefix. The
-    // budget is polled once per extracted candidate; a trip mid-stage
-    // yields `None` and the whole search fails rather than returning a
-    // silently truncated answer set.
-    outcome.central_nodes.truncate(params.max_candidates);
-    let t = Instant::now();
-    let candidates: Option<Vec<CentralGraph>> = match pool {
-        Some(pool) => pool.install(|| {
-            use rayon::prelude::*;
-            outcome
-                .central_nodes
-                .par_iter()
-                .map(|&(c, d)| {
-                    if tracker.should_stop() {
-                        return None;
-                    }
-                    let e = top_down::extract(graph, &act, state, c.0, d);
-                    Some(top_down::prune_and_score(graph, state, &e, params))
-                })
-                .collect()
-        }),
-        None => outcome
-            .central_nodes
-            .iter()
-            .map(|&(c, d)| {
-                if tracker.should_stop() {
-                    return None;
-                }
-                let e = top_down::extract(graph, &act, state, c.0, d);
-                Some(top_down::prune_and_score(graph, state, &e, params))
-            })
-            .collect(),
-    };
-    let Some(candidates) = candidates else {
-        return Err(tracker.error().expect("a stopped top-down stage implies a tripped budget"));
-    };
-    let answers = top_down::select_top_k(candidates, params);
-    profile.top_down = t.elapsed();
-
-    let trace = outcome.records.take().map(|levels| {
-        Box::new(QueryTrace {
-            engine: name.to_string(),
-            keywords: query.num_keywords(),
-            total_expansions: tracker.expansions(),
-            terminated: outcome.terminated == bottom_up::TerminationReason::LevelCap,
-            levels,
-            cache: None,
-            session_id: None,
-            session_queries: None,
-            batch_id: None,
-            co_batched: None,
-            phase_ms: PhaseMillis::from(&profile),
-            qid: None,
-            cache_source_qid: None,
-            shard_timelines: None,
-        })
-    });
-    Ok(SearchOutcome {
-        answers,
-        profile,
-        stats: SearchStats {
-            last_level: outcome.last_level,
-            central_candidates: outcome.central_nodes.len(),
-            peak_frontier: outcome.peak_frontier,
-            trace: outcome.trace,
-        },
-        trace,
-    })
+    let act = ActivationMap::for_params(graph, params);
+    let ctx = ExpandCtx { graph, act: &act, state, budget: &tracker };
+    let mut link = Local { backend, pool, flags: state, ctx, frontiers };
+    let terminated = rounds.run(&mut link, &tracker)?;
+    rounds.finish(terminated, name, graph, &act, state, params, &tracker, pool)
 }
 
 /// Build a rayon pool with exactly `threads` workers.

@@ -74,6 +74,7 @@ pub mod budget;
 pub mod cache;
 pub mod config;
 pub mod costmodel;
+pub(crate) mod driver;
 pub mod engine;
 pub mod error;
 #[cfg(feature = "fault-inject")]

@@ -41,19 +41,19 @@ use super::breaker::{BreakerState, CircuitBreaker};
 use super::frame::write_frame;
 use super::wire;
 use super::worker::expect_frame;
-use crate::activation::{ActivationConfig, ActivationMap};
-use crate::bottom_up::{LevelTrace, TerminationReason};
+use crate::activation::ActivationMap;
+use crate::bottom_up::LevelObservation;
 use crate::budget::{BudgetTracker, QueryBudget};
-use crate::engine::{SearchOutcome, SearchStats};
+use crate::driver::{self, Armed, Rounds, Transport};
+use crate::engine::SearchOutcome;
 use crate::error::SearchError;
 use crate::metrics::{HistogramSnapshot, LogHistogram};
-use crate::model::{CentralGraph, INFINITE_LEVEL};
-use crate::shard::{ShardBackend, DEFAULT_PARTITION_SEED};
+use crate::model::INFINITE_LEVEL;
+use crate::shard::{ExchangeCounters, ShardBackend, DEFAULT_PARTITION_SEED};
 use crate::state::HitLevels;
-use crate::top_down;
-use crate::trace::{PhaseMillis, QueryTrace, ShardSpan, ShardTimeline, TraceLevelRecord};
+use crate::trace::{ShardSpan, ShardTimeline};
 use crate::SearchParams;
-use kgraph::{KnowledgeGraph, NodeId};
+use kgraph::KnowledgeGraph;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -179,9 +179,7 @@ struct RemoteCounters {
     probe_failures: AtomicU64,
     breaker_opens: AtomicU64,
     degraded_queries: AtomicU64,
-    rounds: AtomicU64,
-    notifications: AtomicU64,
-    suppressed: AtomicU64,
+    exchange: ExchangeCounters,
     /// Nonce of the deterministic backoff jitter.
     jitter_nonce: AtomicU64,
 }
@@ -432,9 +430,9 @@ impl RemoteShardedSearch {
             probe_failures: c.probe_failures.load(Ordering::Relaxed),
             breaker_opens: c.breaker_opens.load(Ordering::Relaxed),
             degraded_queries: c.degraded_queries.load(Ordering::Relaxed),
-            rounds: c.rounds.load(Ordering::Relaxed),
-            notifications: c.notifications.load(Ordering::Relaxed),
-            notifications_suppressed: c.suppressed.load(Ordering::Relaxed),
+            rounds: c.exchange.rounds.load(Ordering::Relaxed),
+            notifications: c.exchange.notifications.load(Ordering::Relaxed),
+            notifications_suppressed: c.exchange.suppressed.load(Ordering::Relaxed),
             breaker: self.core.breakers.iter().map(|b| b.state().name().to_string()).collect(),
             rpc_latency_us: self.core.latency.snapshot(),
         }
@@ -473,28 +471,12 @@ impl RemoteShardedSearch {
         budget: &QueryBudget,
         qid: Option<u64>,
     ) -> Result<RemoteOutcome, SearchError> {
-        if let Err(e) = params.validate() {
-            panic!("invalid search parameters: {e}");
-        }
-        let tracker = if params.trace.enabled() {
-            budget.start_counting()
-        } else {
-            budget.start()
-        };
-        tracker.checkpoint()?;
-        #[cfg(feature = "fault-inject")]
-        crate::fault::inject(query, &tracker)?;
-        if query.is_empty() {
-            let mut out = SearchOutcome::default();
-            if params.trace.enabled() {
-                out.trace = Some(Box::new(QueryTrace {
-                    engine: self.name.clone(),
-                    qid,
-                    ..QueryTrace::default()
-                }));
+        let tracker = match driver::arm(query, params, budget, &self.name, qid) {
+            Armed::Search(tracker) => tracker,
+            Armed::Done(verdict) => {
+                return verdict.map(|outcome| RemoteOutcome { outcome, degraded: false })
             }
-            return Ok(RemoteOutcome { outcome: out, degraded: false });
-        }
+        };
 
         let opts = &self.core.opts;
         let deadline = budget.timeout.map(|t| Instant::now() + t);
@@ -597,7 +579,7 @@ impl RemoteShardedSearch {
     }
 
     /// One full pass of the round protocol over the live shards.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)]
     fn attempt(
         &self,
         graph: &KnowledgeGraph,
@@ -616,89 +598,9 @@ impl RemoteShardedSearch {
                 return Err(AttemptError::ShardShed { shard: s });
             }
         }
-        let mut profile = crate::profile::PhaseProfile::default();
-        let q = query.num_keywords();
         let traced = params.trace.enabled();
-
-        // Checkout one exclusive channel per live shard. On any failure
-        // the erroring channel is dropped (it may hold undrained reply
-        // bytes); the healthy ones go back to the pool.
-        let mut chans: Vec<Option<Channel>> = (0..core.shards).map(|_| None).collect();
-        let mut fail: Option<usize> = None;
-        for &s in &live {
-            match self.checkout(s) {
-                Ok(c) => chans[s] = Some(c),
-                Err(_) => {
-                    fail = Some(s);
-                    break;
-                }
-            }
-        }
-        let finish = |chans: Vec<Option<Channel>>| {
-            for (s, c) in chans.into_iter().enumerate() {
-                if let Some(c) = c {
-                    self.checkin(s, c);
-                }
-            }
-        };
-        if let Some(shard) = fail {
-            finish(chans);
-            return Err(AttemptError::ShardIo { shard });
-        }
-
-        // Per-shard RPC accounting for this attempt: every successful
-        // RPC's coordinator-observed wall time, by shard. This is the
-        // outer envelope the stitched timelines reconcile worker spans
-        // against (worker intervals nest inside it, so
-        // `rpc_us >= worker_us` and the difference is wire time).
-        let mut shard_rpcs = vec![0u64; core.shards];
-        let mut shard_rpc_us = vec![0u64; core.shards];
-
-        // The per-shard RPC helper for this attempt. On failure the
-        // erroring channel is dropped (it may hold undrained reply
-        // bytes); the healthy ones go back to the pool.
-        macro_rules! rpc {
-            ($s:expr, $op:expr, $payload:expr, $expect:expr) => {{
-                let chan = chans[$s].as_mut().expect("live shard has a channel");
-                let t_rpc = Instant::now();
-                match core.call(chan, $op, $payload, $expect, self.rpc_timeout(deadline)) {
-                    Ok(body) => {
-                        shard_rpcs[$s] += 1;
-                        shard_rpc_us[$s] += t_rpc.elapsed().as_micros() as u64;
-                        body
-                    }
-                    Err(_) => {
-                        chans[$s] = None; // poisoned: drop it
-                        finish(chans);
-                        return Err(AttemptError::ShardIo { shard: $s });
-                    }
-                }
-            }};
-        }
-        macro_rules! budget_check {
-            ($e:expr) => {
-                match $e {
-                    Ok(v) => v,
-                    Err(err) => {
-                        finish(chans);
-                        return Err(AttemptError::Budget(err));
-                    }
-                }
-            };
-        }
-        // Decode helper: a malformed reply is a shard failure.
-        macro_rules! decode {
-            ($s:expr, $body:expr) => {
-                match wire::decode(&$body) {
-                    Ok(v) => v,
-                    Err(_) => {
-                        chans[$s] = None; // protocol corruption: drop it
-                        finish(chans);
-                        return Err(AttemptError::ShardIo { shard: $s });
-                    }
-                }
-            };
-        }
+        let mut sweep = Sweep::open(self, tracker, deadline, &live, query.num_keywords())?;
+        let mut rounds = Rounds::new(params);
 
         // Scatter: Start re-arms every live worker's state for this
         // query (idempotent across retries).
@@ -715,156 +617,194 @@ impl RemoteShardedSearch {
             // answer.
             spans: Some(traced),
         };
-        let start_payload = wire::encode(&start);
-        for &s in &live {
-            let body = rpc!(s, wire::OP_START, &start_payload, wire::OP_START_OK);
-            let ok: wire::StartOk = decode!(s, body);
-            debug_assert_eq!(ok.keywords as usize, q);
+        let payload = wire::encode(&start);
+        for s in sweep.live() {
+            let ok: wire::StartOk = sweep.call(s, wire::OP_START, &payload, wire::OP_START_OK)?;
+            sweep.check(s, ok.keywords as usize == sweep.q)?;
         }
-        profile.init = t.elapsed();
+        rounds.profile.init = t.elapsed();
 
-        // The level-synchronous round loop — the in-process fork-join
-        // phases, each fork replaced by a sweep of shard RPCs.
-        let max_level = params.max_level.min(254);
-        let mut cohort: Vec<(NodeId, u8)> = Vec::new();
-        let mut level_trace: Vec<LevelTrace> = Vec::new();
-        let mut records: Option<Vec<TraceLevelRecord>> = traced.then(Vec::new);
-        let mut peak_frontier = 0usize;
-        let mut level: u8 = 0;
-        let terminated = loop {
-            budget_check!(tracker.checkpoint());
-            let t = Instant::now();
-            let mut frontier_total = 0usize;
-            for &s in &live {
-                let body = rpc!(s, wire::OP_ENQUEUE, &[], wire::OP_ENQUEUE_OK);
-                let ok: wire::EnqueueOk = decode!(s, body);
-                frontier_total += ok.frontier as usize;
-            }
-            profile.enqueue += t.elapsed();
-            peak_frontier = peak_frontier.max(frontier_total);
-            if frontier_total == 0 {
-                break TerminationReason::FrontierExhausted;
-            }
+        let terminated = rounds.run(&mut sweep, tracker)?;
+        let (hits, timelines) = sweep.collect(traced)?;
+        drop(sweep); // the channels go back to the pool before top-down
 
-            let t = Instant::now();
-            let identify = wire::encode(&wire::Identify { level, traced });
-            let mut newly: Vec<u32> = Vec::new();
-            let (mut new_hits, mut deferred) = (0usize, 0usize);
-            for &s in &live {
-                let body = rpc!(s, wire::OP_IDENTIFY, &identify, wire::OP_IDENTIFY_OK);
-                let ok: wire::IdentifyOk = decode!(s, body);
-                newly.extend_from_slice(&ok.newly);
-                new_hits += ok.new_hits as usize;
-                deferred += ok.deferred as usize;
-            }
-            newly.sort_unstable();
-            profile.identify += t.elapsed();
-            level_trace.push(LevelTrace {
-                level,
-                frontier: frontier_total,
-                identified: newly.len(),
-            });
-            if let Some(recs) = records.as_mut() {
-                recs.push(TraceLevelRecord {
-                    level: u32::from(level),
-                    frontier: frontier_total,
-                    identified: newly.len(),
-                    new_hits,
-                    activation_deferred: deferred,
-                    expansions: 0, // filled in after this level's expansion
-                    budget_remaining: tracker.remaining(),
-                });
-            }
-            cohort.extend(newly.iter().map(|&v| (NodeId(v), level)));
-            if cohort.len() >= params.top_k {
-                break TerminationReason::EnoughCentralNodes;
-            }
-            if level >= max_level {
-                break TerminationReason::LevelCap;
-            }
+        // The unchanged top-down stage over the global graph, reading the
+        // collected rows; the coordinator runs it in order.
+        let act = ActivationMap::for_params(graph, params);
+        let mut out =
+            rounds.finish(terminated, &self.name, graph, &act, &hits, params, tracker, None)?;
+        if let Some(trace) = out.trace.as_mut() {
+            trace.qid = qid;
+            trace.shard_timelines = timelines;
+        }
+        Ok(out)
+    }
+}
 
-            let charged_before = if records.is_some() {
-                tracker.expansions()
-            } else {
-                0
-            };
-            let t = Instant::now();
-            let expand = wire::encode(&wire::Expand { level });
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            let mut charged_total = 0u64;
-            for &s in &live {
-                let body = rpc!(s, wire::OP_EXPAND, &expand, wire::OP_EXPAND_OK);
-                let ok: wire::ExpandOk = decode!(s, body);
-                pairs.extend_from_slice(&ok.outbox);
-                charged_total += ok.charged;
-            }
-            // The workers metered this level's kernels; charge the sum
-            // here — the same cumulative totals, at the same sequence
-            // point, as the in-process driver.
-            tracker.charge(charged_total);
-            let sent = pairs.len();
-            pairs.sort_unstable();
-            pairs.dedup();
-            core.counters.rounds.fetch_add(1, Ordering::Relaxed);
-            core.counters.notifications.fetch_add(pairs.len() as u64, Ordering::Relaxed);
-            core.counters
-                .suppressed
-                .fetch_add((sent - pairs.len()) as u64, Ordering::Relaxed);
-            let apply = wire::encode(&wire::Apply { level, pairs });
-            for &s in &live {
-                let _body = rpc!(s, wire::OP_APPLY, &apply, wire::OP_APPLY_OK);
-            }
-            profile.expansion += t.elapsed();
-            if let Some(last) = records.as_mut().and_then(|r| r.last_mut()) {
-                last.expansions = tracker.expansions() - charged_before;
-                last.budget_remaining = tracker.remaining();
-            }
-            level += 1;
+impl From<SearchError> for AttemptError {
+    fn from(e: SearchError) -> Self {
+        AttemptError::Budget(e)
+    }
+}
+
+/// The RPC transport of one attempt: one exclusive channel per live
+/// shard, each phase a sweep of RPCs over them — the in-process fork-join
+/// phases, each fork replaced by a sweep. Worker replies are outside
+/// input and are checked here, at the one boundary they cross: a reply
+/// that fails to decode or to validate against the query is a shard
+/// failure, its channel dropped (it may hold undrained or corrupt bytes).
+/// Dropping the sweep returns every healthy channel to the pool.
+struct Sweep<'a> {
+    search: &'a RemoteShardedSearch,
+    budget: &'a BudgetTracker,
+    deadline: Option<Instant>,
+    /// Per-shard channel; `None` for shards outside this attempt.
+    chans: Vec<Option<Channel>>,
+    /// Keyword count `q` of the query.
+    q: usize,
+    /// Per-shard RPC accounting for this attempt: every successful RPC's
+    /// coordinator-observed wall time, by shard. This is the outer
+    /// envelope the stitched timelines reconcile worker spans against
+    /// (worker intervals nest inside it, so `rpc_us >= worker_us` and the
+    /// difference is wire time).
+    rpcs: Vec<u64>,
+    rpc_us: Vec<u64>,
+}
+
+impl<'a> Sweep<'a> {
+    /// Check out one exclusive channel per `live` shard.
+    fn open(
+        search: &'a RemoteShardedSearch,
+        budget: &'a BudgetTracker,
+        deadline: Option<Instant>,
+        live: &[usize],
+        q: usize,
+    ) -> Result<Sweep<'a>, AttemptError> {
+        let shards = search.core.shards;
+        let mut sweep = Sweep {
+            search,
+            budget,
+            deadline,
+            chans: (0..shards).map(|_| None).collect(),
+            q,
+            rpcs: vec![0; shards],
+            rpc_us: vec![0; shards],
         };
-        let last_level = level;
+        for &s in live {
+            match search.checkout(s) {
+                Ok(chan) => sweep.chans[s] = Some(chan),
+                Err(_) => return Err(AttemptError::ShardIo { shard: s }),
+            }
+        }
+        Ok(sweep)
+    }
 
-        // Collect: ship every informative row and run the unchanged
-        // top-down stage over the global graph. Owner rows are
-        // authoritative; under degradation the live shards' halo
-        // replicas stand in for dead owners.
+    /// The shards taking part in this attempt.
+    fn live(&self) -> Vec<usize> {
+        (0..self.chans.len()).filter(|&s| self.chans[s].is_some()).collect()
+    }
+
+    /// Fail shard `s`: drop its channel and report the shard failure.
+    fn fail(&mut self, s: usize) -> AttemptError {
+        self.chans[s] = None;
+        AttemptError::ShardIo { shard: s }
+    }
+
+    /// Fail shard `s` unless its reply passed validation.
+    fn check(&mut self, s: usize, valid: bool) -> Result<(), AttemptError> {
+        if valid {
+            Ok(())
+        } else {
+            Err(self.fail(s))
+        }
+    }
+
+    /// One RPC to shard `s`, returning the raw reply payload.
+    fn call_raw(
+        &mut self,
+        s: usize,
+        op: u8,
+        payload: &[u8],
+        expect: u8,
+    ) -> Result<Vec<u8>, AttemptError> {
+        let timeout = self.search.rpc_timeout(self.deadline);
+        let chan = self.chans[s].as_mut().expect("live shard has a channel");
+        let t = Instant::now();
+        match self.search.core.call(chan, op, payload, expect, timeout) {
+            Ok(body) => {
+                self.rpcs[s] += 1;
+                self.rpc_us[s] += t.elapsed().as_micros() as u64;
+                Ok(body)
+            }
+            Err(_) => Err(self.fail(s)),
+        }
+    }
+
+    /// One RPC to shard `s`, decoding the reply.
+    fn call<T: serde::Deserialize>(
+        &mut self,
+        s: usize,
+        op: u8,
+        payload: &[u8],
+        expect: u8,
+    ) -> Result<T, AttemptError> {
+        let body = self.call_raw(s, op, payload, expect)?;
+        wire::decode(&body).map_err(|_| self.fail(s))
+    }
+
+    /// Whether `v` names a node of the global graph.
+    fn node_ok(&self, v: u32) -> bool {
+        u64::from(v) < self.search.core.num_nodes
+    }
+
+    /// Collect: ship every informative row for the top-down stage, and
+    /// stitch the worker-reported spans into per-shard timelines when
+    /// `traced`. Owner rows are authoritative; under degradation the live
+    /// shards' halo replicas stand in for dead owners.
+    fn collect(
+        &mut self,
+        traced: bool,
+    ) -> Result<(RemoteHitLevels, Option<Vec<ShardTimeline>>), AttemptError> {
+        let search = self.search;
+        let core = &search.core;
+        let live = self.live();
         let include_halos = live.len() < core.shards;
-        let collect = wire::encode(&wire::Collect { include_halos });
-        // Owner rows are authoritative (only the owner's replica carries
-        // `central_depth`); halo replicas — shipped only when degraded —
-        // fill the gaps a dead owner left. The wire does not distinguish
-        // the two, so replay the ownership hash per row.
+        let payload = wire::encode(&wire::Collect { include_halos });
+        // Only the owner's replica carries `central_depth`; the wire does
+        // not distinguish owner rows from halo rows, so replay the
+        // ownership hash per row.
         let owner_of = |v: u32| -> usize {
             (crate::shard::splitmix64(core.seed ^ u64::from(v)) % core.shards as u64) as usize
         };
         let mut rows: HashMap<u32, wire::WireRow> = HashMap::new();
         let mut halo_rows: Vec<wire::WireRow> = Vec::new();
-        // Stitch worker-reported spans into per-shard timelines. All
-        // quantities are monotonic durations measured on one host each —
-        // the coordinator's clock for `rpc_us`, the worker's for the
-        // span phases — never cross-host timestamp comparisons.
+        // All quantities are monotonic durations measured on one host
+        // each — the coordinator's clock for `rpc_us`, the worker's for
+        // the span phases — never cross-host timestamp comparisons.
         let mut timelines: Option<Vec<ShardTimeline>> = traced.then(Vec::new);
-        for &s in &live {
-            let body = rpc!(s, wire::OP_COLLECT, &collect, wire::OP_COLLECT_OK);
-            let ok: wire::CollectOk = decode!(s, body);
-            let wire::CollectOk { rows: shard_rows, qid: shard_qid, spans } = ok;
+        for s in live {
+            let ok: wire::CollectOk =
+                self.call(s, wire::OP_COLLECT, &payload, wire::OP_COLLECT_OK)?;
+            let valid = ok.rows.iter().all(|r| self.node_ok(r.node) && r.hits.len() == self.q);
+            self.check(s, valid)?;
             if let Some(tls) = timelines.as_mut() {
                 // A span-less reply (v1 worker) still earns a timeline:
                 // the RPC envelope is coordinator-side truth; only the
                 // worker-side breakdown is missing.
-                let spans = spans.unwrap_or_default();
+                let spans = ok.spans.unwrap_or_default();
                 let worker_us: u64 = spans.iter().map(ShardSpan::worker_us).sum();
-                let rpc_us = shard_rpc_us[s];
+                let rpc_us = self.rpc_us[s];
                 tls.push(ShardTimeline {
                     shard: s,
-                    qid: shard_qid,
-                    rpcs: shard_rpcs[s],
+                    qid: ok.qid,
+                    rpcs: self.rpcs[s],
                     rpc_us,
                     worker_us,
                     wire_us: rpc_us.saturating_sub(worker_us),
                     spans,
                 });
             }
-            for row in shard_rows {
+            for row in ok.rows {
                 if owner_of(row.node) == s {
                     rows.insert(row.node, row);
                 } else {
@@ -872,62 +812,79 @@ impl RemoteShardedSearch {
                 }
             }
         }
-        finish(chans);
         for row in halo_rows {
             rows.entry(row.node).or_insert(row);
         }
+        Ok((RemoteHitLevels { rows, q: self.q }, timelines))
+    }
+}
 
-        cohort.truncate(params.max_candidates);
-        let config =
-            ActivationConfig { alpha: params.alpha, average_distance: params.average_distance };
-        let global_act = match &params.explicit_activation {
-            Some(levels) => ActivationMap::Explicit(levels),
-            None => ActivationMap::Computed { graph, config },
-        };
-        let hits = RemoteHitLevels { rows, q };
-        let t = Instant::now();
-        let mut candidates: Vec<CentralGraph> = Vec::with_capacity(cohort.len());
-        for &(c, d) in &cohort {
-            if tracker.should_stop() {
-                let err =
-                    tracker.error().expect("a stopped top-down stage implies a tripped budget");
-                return Err(AttemptError::Budget(err));
-            }
-            let e = top_down::extract(graph, &global_act, &hits, c.0, d);
-            candidates.push(top_down::prune_and_score(graph, &hits, &e, params));
+impl Transport for Sweep<'_> {
+    type Error = AttemptError;
+
+    fn enqueue(&mut self) -> Result<usize, AttemptError> {
+        let mut frontier = 0usize;
+        for s in self.live() {
+            let ok: wire::EnqueueOk = self.call(s, wire::OP_ENQUEUE, &[], wire::OP_ENQUEUE_OK)?;
+            frontier = frontier.saturating_add(ok.frontier as usize);
         }
-        let answers = top_down::select_top_k(candidates, params);
-        profile.top_down = t.elapsed();
+        Ok(frontier)
+    }
 
-        let trace = records.take().map(|levels| {
-            Box::new(QueryTrace {
-                engine: self.name.clone(),
-                keywords: q,
-                total_expansions: tracker.expansions(),
-                terminated: terminated == TerminationReason::LevelCap,
-                levels,
-                cache: None,
-                session_id: None,
-                session_queries: None,
-                batch_id: None,
-                co_batched: None,
-                phase_ms: PhaseMillis::from(&profile),
-                qid,
-                cache_source_qid: None,
-                shard_timelines: timelines,
-            })
-        });
-        Ok(SearchOutcome {
-            answers,
-            profile,
-            stats: SearchStats {
-                last_level,
-                central_candidates: cohort.len(),
-                peak_frontier,
-                trace: level_trace,
-            },
-            trace,
-        })
+    fn identify(
+        &mut self,
+        level: u8,
+        traced: bool,
+        newly: &mut Vec<u32>,
+    ) -> Result<LevelObservation, AttemptError> {
+        let payload = wire::encode(&wire::Identify { level, traced });
+        newly.clear();
+        let mut seen = LevelObservation::default();
+        for s in self.live() {
+            let ok: wire::IdentifyOk =
+                self.call(s, wire::OP_IDENTIFY, &payload, wire::OP_IDENTIFY_OK)?;
+            let valid = ok.newly.iter().all(|&v| self.node_ok(v));
+            self.check(s, valid)?;
+            newly.extend_from_slice(&ok.newly);
+            seen.new_hits = seen.new_hits.saturating_add(ok.new_hits as usize);
+            seen.activation_deferred =
+                seen.activation_deferred.saturating_add(ok.deferred as usize);
+        }
+        newly.sort_unstable();
+        Ok(seen)
+    }
+
+    fn expand(&mut self, level: u8) -> Result<(), AttemptError> {
+        let payload = wire::encode(&wire::Expand { level });
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut charged = 0u64;
+        for s in self.live() {
+            let ok: wire::ExpandOk = self.call(s, wire::OP_EXPAND, &payload, wire::OP_EXPAND_OK)?;
+            let valid = ok.outbox.iter().all(|&(v, i)| self.node_ok(v) && (i as usize) < self.q);
+            self.check(s, valid)?;
+            pairs.extend_from_slice(&ok.outbox);
+            charged = charged.saturating_add(ok.charged);
+        }
+        // The workers metered this level's kernels; charge the sum here —
+        // the same cumulative totals, at the same sequence point, as the
+        // in-process driver.
+        self.budget.charge(charged);
+        self.search.core.counters.exchange.dedup(&mut pairs);
+        let payload = wire::encode(&wire::Apply { level, pairs });
+        for s in self.live() {
+            self.call_raw(s, wire::OP_APPLY, &payload, wire::OP_APPLY_OK)?;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Sweep<'_> {
+    fn drop(&mut self) {
+        for (s, chan) in self.chans.drain(..).enumerate() {
+            if let Some(chan) = chan {
+                self.search.checkin(s, chan);
+            }
+        }
     }
 }
 

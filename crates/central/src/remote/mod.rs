@@ -343,6 +343,109 @@ mod tests {
         }
     }
 
+    /// A scripted shard-0 worker of a one-shard fleet: it accepts every
+    /// connection, answers `HELLO` with a valid `HelloOk` and `PING` with
+    /// `PONG`, and the query RPCs of each connection with `script`'s
+    /// replies in order.
+    fn scripted_worker(script: Vec<(u8, Vec<u8>)>) -> std::net::SocketAddr {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let (Ok(mut stream), script) = (stream, script.clone()) else {
+                    return;
+                };
+                std::thread::spawn(move || {
+                    let mut replies = script.into_iter();
+                    while let Ok(Some((op, _))) = frame::read_frame(&mut stream) {
+                        let (op, body) = match op {
+                            wire::OP_HELLO => {
+                                let ok = wire::HelloOk {
+                                    shard_index: 0,
+                                    num_owned: 12,
+                                    version: Some(2),
+                                };
+                                (wire::OP_HELLO_OK, wire::encode(&ok))
+                            }
+                            wire::OP_PING => (wire::OP_PONG, Vec::new()),
+                            _ => match replies.next() {
+                                Some(reply) => reply,
+                                None => return,
+                            },
+                        };
+                        if frame::write_frame(&mut stream, op, &body).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn malformed_worker_replies_are_shard_failures() {
+        let g = fixture();
+        let query = ParsedQuery::parse(&InvertedIndex::build(&g), "alpha omega");
+        let params = SearchParams::default().with_average_distance(1.0).with_top_k(1);
+        let start = |keywords| (wire::OP_START_OK, wire::encode(&wire::StartOk { keywords }));
+        let enqueue = |frontier| (wire::OP_ENQUEUE_OK, wire::encode(&wire::EnqueueOk { frontier }));
+        let identify = |newly| {
+            let ok = wire::IdentifyOk { newly, new_hits: 0, deferred: 0 };
+            (wire::OP_IDENTIFY_OK, wire::encode(&ok))
+        };
+        let expand =
+            |outbox| (wire::OP_EXPAND_OK, wire::encode(&wire::ExpandOk { outbox, charged: 0 }));
+        let applied = (wire::OP_APPLY_OK, Vec::new());
+        let collect = |node, hits| {
+            let row = wire::WireRow { node, hits, keyword: true, central: Some(0) };
+            let ok = wire::CollectOk { rows: vec![row], qid: None, spans: None };
+            (wire::OP_COLLECT_OK, wire::encode(&ok))
+        };
+        // Each script is a valid exchange for the 2-keyword query but for
+        // one field, named in its case.
+        let cases = [
+            ("StartOk.keywords != q", vec![start(3)]),
+            ("newly node >= num_nodes", vec![start(2), enqueue(1), identify(vec![99])]),
+            (
+                "row with hits.len() != q",
+                vec![start(2), enqueue(1), identify(vec![0]), collect(0, vec![0])],
+            ),
+            (
+                "row node >= num_nodes",
+                vec![start(2), enqueue(1), identify(vec![0]), collect(99, vec![0, 0])],
+            ),
+            (
+                "outbox node >= num_nodes",
+                vec![start(2), enqueue(1), identify(vec![]), expand(vec![(99, 0)])],
+            ),
+            (
+                "outbox instance >= q",
+                vec![
+                    start(2),
+                    enqueue(1),
+                    identify(vec![]),
+                    expand(vec![(0, 2)]),
+                    applied,
+                    enqueue(0),
+                ],
+            ),
+        ];
+        for (case, script) in cases {
+            let opts = RemoteOptions {
+                heartbeat: None,
+                attempts: 1,
+                rpc_timeout: Duration::from_secs(2),
+                backoff_base: Duration::from_millis(1),
+                ..RemoteOptions::default()
+            };
+            let addrs = Arc::new(StaticAddrs(vec![scripted_worker(script)]));
+            let r = RemoteShardedSearch::new(&g, ShardBackend::Seq, 1, addrs, opts);
+            let err = r.try_search(&g, &query, &params, &QueryBudget::unlimited()).unwrap_err();
+            assert_eq!(err, crate::SearchError::ShardUnavailable { shard: 0 }, "{case}");
+        }
+    }
+
     #[test]
     fn handshake_rejects_a_mismatched_partition_contract() {
         let g = fixture();

@@ -5,10 +5,12 @@
 //! `(shards, seed)` contract, never shipped over the wire — and serves
 //! coordinator connections over TCP, one thread and one
 //! [`SearchState`] per connection. Each connection executes at most one
-//! query at a time as a sequence of phase RPCs (see [`super::wire`]);
-//! the handlers are line-for-line the per-shard bodies of the in-process
-//! fork-join phases in [`crate::shard::ShardedSearch`], which is what the
-//! remote-equivalence differential suite leans on.
+//! query at a time as a sequence of phase RPCs (see [`super::wire`]).
+//! Each handler decodes its request, runs the shard-local step the
+//! in-process fork-join phases of [`crate::shard::ShardedSearch`] run
+//! (`shard::ShardLocal`), records its span and encodes the reply — one
+//! code path per step, which the remote-equivalence differential suite
+//! leans on.
 //!
 //! The worker never enforces query budgets itself: it runs an unlimited
 //! counting tracker and reports per-level expansion charges back to the
@@ -26,13 +28,12 @@
 use super::frame::{read_frame, write_frame};
 use super::wire::{self, Hello};
 use crate::activation::{ActivationConfig, ActivationMap};
-use crate::bottom_up::{self, ExpandCtx};
-use crate::model::INFINITE_LEVEL;
-use crate::shard::{ShardBackend, ShardPart, ShardPlan};
+use crate::shard::{ShardBackend, ShardLocal, ShardPart, ShardPlan};
 use crate::state::SearchState;
 use crate::trace::ShardSpan;
 use crate::QueryBudget;
-use kgraph::{KnowledgeGraph, NodeId};
+use kgraph::KnowledgeGraph;
+use rayon::ThreadPool;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -188,19 +189,19 @@ struct Conn<'w> {
     worker: &'w ShardWorker,
     greeted: bool,
     state: SearchState,
+    /// Explicit activation table of the in-flight query, remapped onto
+    /// this shard's locals.
+    act_table: Option<Vec<u8>>,
     query: Option<QueryCtx>,
-    /// Lazily built kernel pool, rebuilt when a query asks for a
+    /// Kernel pool of parallel backends, rebuilt when a query asks for a
     /// different thread count.
     pool: Option<(usize, rayon::ThreadPool)>,
 }
 
 /// Execution knobs of the in-flight query on a connection.
 struct QueryCtx {
-    q: usize,
     backend: ShardBackend,
     config: ActivationConfig,
-    /// Explicit activation table remapped onto this shard's locals.
-    local_act: Option<Vec<u8>>,
     tracker: crate::budget::BudgetTracker,
     charged_mark: u64,
     frontiers: Vec<u32>,
@@ -217,9 +218,55 @@ fn micros(from: Instant, to: Instant) -> u64 {
     to.saturating_duration_since(from).as_micros() as u64
 }
 
+/// Worker-clock stamps of one RPC: its frame was fully read at `ready`,
+/// and its payload decoded between `decode_from` and `decode_done`.
+struct Clock {
+    ready: Instant,
+    decode_from: Instant,
+    decode_done: Instant,
+}
+
+impl Clock {
+    /// Stamps of a request without a payload.
+    fn start(ready: Instant) -> Clock {
+        let now = Instant::now();
+        Clock { ready, decode_from: now, decode_done: now }
+    }
+
+    /// Decode the request payload, stamping how long it took.
+    fn decode<T: serde::Deserialize>(
+        ready: Instant,
+        payload: &[u8],
+    ) -> Result<(T, Clock), ConnError> {
+        let decode_from = Instant::now();
+        let req = decode(payload)?;
+        Ok((req, Clock { ready, decode_from, decode_done: Instant::now() }))
+    }
+
+    /// The RPC's span, its execution done at `exec_done`; the reply's
+    /// encode+write time is filled in once measured.
+    fn span(&self, op: &str, level: Option<u8>, exec_done: Instant) -> ShardSpan {
+        ShardSpan {
+            op: op.to_string(),
+            level: level.map(u32::from),
+            wait_us: micros(self.ready, self.decode_from),
+            decode_us: micros(self.decode_from, self.decode_done),
+            exec_us: micros(self.decode_done, exec_done),
+            encode_us: 0,
+        }
+    }
+}
+
 impl<'w> Conn<'w> {
     fn new(worker: &'w ShardWorker) -> Conn<'w> {
-        Conn { worker, greeted: false, state: SearchState::empty(), query: None, pool: None }
+        Conn {
+            worker,
+            greeted: false,
+            state: SearchState::empty(),
+            act_table: None,
+            query: None,
+            pool: None,
+        }
     }
 
     fn handle(
@@ -245,24 +292,25 @@ impl<'w> Conn<'w> {
         }
     }
 
-    /// Send a phase reply and, when the query is span-traced, finish the
-    /// RPC's span with the measured encode+write time and record it. The
-    /// borrow of the query context is re-taken here so handlers can build
-    /// their reply payloads with the context borrowed.
+    /// Encode and send a phase reply and, when the query is span-traced,
+    /// record the RPC's span with the measured encode+write time. The
+    /// reply is encoded only after the execution stamp.
+    #[allow(clippy::too_many_arguments)] // one RPC's reply and span inputs
     fn finish(
         &mut self,
         stream: &mut TcpStream,
         opcode: u8,
-        payload: &[u8],
-        span: Option<ShardSpan>,
-        encode_from: Instant,
+        clock: Clock,
+        op: &str,
+        level: Option<u8>,
+        encode: impl FnOnce() -> Vec<u8>,
     ) -> Result<Flow, ConnError> {
-        reply(stream, opcode, payload)?;
-        if let Some(mut span) = span {
-            span.encode_us = micros(encode_from, Instant::now());
-            if let Some(spans) = self.query.as_mut().and_then(|ctx| ctx.spans.as_mut()) {
-                spans.push(span);
-            }
+        let exec_done = Instant::now();
+        reply(stream, opcode, &encode())?;
+        if let Some(spans) = self.query.as_mut().and_then(|ctx| ctx.spans.as_mut()) {
+            let mut span = clock.span(op, level, exec_done);
+            span.encode_us = micros(exec_done, Instant::now());
+            spans.push(span);
         }
         Ok(Flow::Continue)
     }
@@ -319,9 +367,7 @@ impl<'w> Conn<'w> {
         if !self.greeted {
             return Err(ConnError::new("bad_sequence", "START before HELLO"));
         }
-        let decode_from = Instant::now();
-        let start: wire::Start = decode(payload)?;
-        let decode_done = Instant::now();
+        let (start, clock) = Clock::decode::<wire::Start>(ready, payload)?;
         let query = start.query.to_query();
 
         // Network-shaped fault injection (test builds only): the chaos
@@ -341,91 +387,56 @@ impl<'w> Conn<'w> {
             }
         }
 
-        let part = &self.worker.part;
-        let local = part.localize_query(&query);
-        self.state.begin_query(part.graph.num_nodes(), &local);
         let threads = (start.threads as usize).max(1);
-        let backend = match start.backend.as_str() {
-            "Seq" => ShardBackend::Seq,
-            "CPU-Par" => ShardBackend::ParCpu(threads),
-            "GPU-Par" => ShardBackend::GpuStyle(threads),
-            "CPU-Par-d" => ShardBackend::DynPar(threads),
-            other => {
-                return Err(ConnError::new("bad_sequence", format!("unknown backend {other:?}")))
-            }
+        let Some(backend) = ShardBackend::from_name(&start.backend, threads) else {
+            let message = format!("unknown backend {:?}", start.backend);
+            return Err(ConnError::new("bad_sequence", message));
         };
-        let local_act = start
-            .activation
-            .as_ref()
-            .map(|levels| part.locals.iter().map(|&v| levels[v as usize]).collect());
+        // Parallel kernels run inside a worker-local pool sized to the
+        // query's thread request, (re)built only when the size changes.
+        if backend.parallel() && self.pool.as_ref().map(|(t, _)| *t) != Some(threads) {
+            self.pool = Some((threads, crate::engine::build_pool(threads)));
+        }
+        let part = &self.worker.part;
+        self.state.begin_query(part.graph.num_nodes(), &part.localize_query(&query));
+        self.act_table = part.localize_activation(start.activation.as_deref());
         // Spans are recorded only when the coordinator asked for them AND
         // this worker's protocol revision can ship them on collect.
-        let traced = self.worker.protocol >= 2 && start.spans == Some(true);
+        let v2 = self.worker.protocol >= 2;
         self.query = Some(QueryCtx {
-            q: query.num_keywords(),
             backend,
-            config: ActivationConfig {
-                alpha: start.params.alpha,
-                average_distance: start.params.average_distance,
-            },
-            local_act,
+            config: ActivationConfig::of(&start.params),
             // Unlimited counting tracker: budgets are the coordinator's
             // job; this one only meters charges for `ExpandOk::charged`.
             tracker: QueryBudget::unlimited().start_counting(),
             charged_mark: 0,
             frontiers: Vec::new(),
             // A v1 worker predates the qid field entirely: never echo it.
-            qid: if self.worker.protocol >= 2 {
-                start.qid
-            } else {
-                None
-            },
-            spans: traced.then(Vec::new),
+            qid: start.qid.filter(|_| v2),
+            spans: (v2 && start.spans == Some(true)).then(Vec::new),
         });
         let ok = wire::StartOk { keywords: query.num_keywords() as u32 };
-        let exec_done = Instant::now();
-        let span = traced.then(|| ShardSpan {
-            op: "start".to_string(),
-            level: None,
-            wait_us: micros(ready, decode_from),
-            decode_us: micros(decode_from, decode_done),
-            exec_us: micros(decode_done, exec_done),
-            encode_us: 0,
-        });
-        self.finish(stream, wire::OP_START_OK, &wire::encode(&ok), span, exec_done)
+        self.finish(stream, wire::OP_START_OK, clock, "start", None, || wire::encode(&ok))
     }
 
-    fn query_mut(&mut self) -> Result<(&'w ShardPart, &SearchState, &mut QueryCtx), ConnError> {
+    /// The in-flight query's shard-local view, its knobs, and the kernel
+    /// pool of parallel backends.
+    fn local(&mut self) -> Result<(ShardLocal<'_>, &mut QueryCtx, Option<&ThreadPool>), ConnError> {
+        let Some(ctx) = self.query.as_mut() else {
+            return Err(ConnError::new("bad_sequence", "phase RPC before START"));
+        };
         let part = &self.worker.part;
-        match self.query.as_mut() {
-            Some(ctx) => Ok((part, &self.state, ctx)),
-            None => Err(ConnError::new("bad_sequence", "phase RPC before START")),
-        }
+        let act = ActivationMap::select(&part.graph, ctx.config, self.act_table.as_deref());
+        let pool = self.pool.as_ref().map(|(_, pool)| pool);
+        Ok((ShardLocal { part, state: &self.state, act }, ctx, pool))
     }
 
     fn on_enqueue(&mut self, stream: &mut TcpStream, ready: Instant) -> Result<Flow, ConnError> {
-        let entered = Instant::now();
-        let (part, state, ctx) = self.query_mut()?;
-        // Owned nodes only: each global frontier node is drained exactly
-        // once, by its owner.
-        ctx.frontiers.clear();
-        for v in 0..part.num_owned {
-            if state.take_frontier_flag(v) {
-                ctx.frontiers.push(v);
-            }
-        }
-        let traced = ctx.spans.is_some();
+        let clock = Clock::start(ready);
+        let (local, ctx, _) = self.local()?;
+        local.enqueue(&mut ctx.frontiers);
         let ok = wire::EnqueueOk { frontier: ctx.frontiers.len() as u64 };
-        let exec_done = Instant::now();
-        let span = traced.then(|| ShardSpan {
-            op: "enqueue".to_string(),
-            level: None,
-            wait_us: micros(ready, entered),
-            decode_us: 0,
-            exec_us: micros(entered, exec_done),
-            encode_us: 0,
-        });
-        self.finish(stream, wire::OP_ENQUEUE_OK, &wire::encode(&ok), span, exec_done)
+        self.finish(stream, wire::OP_ENQUEUE_OK, clock, "enqueue", None, || wire::encode(&ok))
     }
 
     fn on_identify(
@@ -434,38 +445,17 @@ impl<'w> Conn<'w> {
         payload: &[u8],
         ready: Instant,
     ) -> Result<Flow, ConnError> {
-        let decode_from = Instant::now();
-        let req: wire::Identify = decode(payload)?;
-        let decode_done = Instant::now();
-        let (part, state, ctx) = self.query_mut()?;
-        let mut newly_local = Vec::new();
-        bottom_up::identify_sequential(state, &ctx.frontiers, req.level, &mut newly_local);
-        let (mut new_hits, mut deferred) = (0usize, 0usize);
-        if req.traced {
-            let act = activation(part, ctx);
-            new_hits = ctx
-                .frontiers
-                .iter()
-                .map(|&f| (0..ctx.q).filter(|&i| state.hit(f, i) == req.level).count())
-                .sum();
-            deferred = ctx.frontiers.iter().filter(|&&f| act.level(NodeId(f)) > req.level).count();
-        }
-        let traced = ctx.spans.is_some();
+        let (req, clock) = Clock::decode::<wire::Identify>(ready, payload)?;
+        let (local, ctx, _) = self.local()?;
+        let mut newly = Vec::new();
+        let seen = local.identify(&ctx.frontiers, req.level, req.traced, &mut newly);
         let ok = wire::IdentifyOk {
-            newly: newly_local.iter().map(|&l| part.locals[l as usize]).collect(),
-            new_hits: new_hits as u64,
-            deferred: deferred as u64,
+            newly,
+            new_hits: seen.new_hits as u64,
+            deferred: seen.activation_deferred as u64,
         };
-        let exec_done = Instant::now();
-        let span = traced.then(|| ShardSpan {
-            op: "identify".to_string(),
-            level: Some(req.level.into()),
-            wait_us: micros(ready, decode_from),
-            decode_us: micros(decode_from, decode_done),
-            exec_us: micros(decode_done, exec_done),
-            encode_us: 0,
-        });
-        self.finish(stream, wire::OP_IDENTIFY_OK, &wire::encode(&ok), span, exec_done)
+        let encode = || wire::encode(&ok);
+        self.finish(stream, wire::OP_IDENTIFY_OK, clock, "identify", Some(req.level), encode)
     }
 
     fn on_expand(
@@ -474,76 +464,16 @@ impl<'w> Conn<'w> {
         payload: &[u8],
         ready: Instant,
     ) -> Result<Flow, ConnError> {
-        use rayon::prelude::*;
-        let decode_from = Instant::now();
-        let req: wire::Expand = decode(payload)?;
-        let decode_done = Instant::now();
-        let backend = match &self.query {
-            Some(ctx) => ctx.backend,
-            None => return Err(ConnError::new("bad_sequence", "phase RPC before START")),
-        };
-        // Parallel kernels run inside a worker-local pool sized to the
-        // query's thread request, (re)built only when the size changes.
-        let threads = backend.threads();
-        let pooled = !matches!(backend, ShardBackend::Seq | ShardBackend::DynPar(_));
-        if pooled && self.pool.as_ref().map(|(t, _)| *t) != Some(threads) {
-            self.pool = Some((threads, crate::engine::build_pool(threads)));
-        }
-        let part = &self.worker.part;
-        let state = &self.state;
-        let ctx = self.query.as_mut().expect("checked above");
-        let level = req.level;
-        let act = activation(part, ctx);
-        let expand_ctx = ExpandCtx { graph: &part.graph, act: &act, state, budget: &ctx.tracker };
-        let q = ctx.q;
-        let frontiers = &ctx.frontiers;
-        match backend {
-            ShardBackend::Seq | ShardBackend::DynPar(_) => {
-                for &f in frontiers {
-                    bottom_up::expand_frontier(&expand_ctx, f, level);
-                }
-            }
-            ShardBackend::ParCpu(_) => {
-                let pool = &self.pool.as_ref().expect("pool built above").1;
-                pool.install(|| {
-                    frontiers
-                        .par_iter()
-                        .for_each(|&f| bottom_up::expand_frontier(&expand_ctx, f, level));
-                });
-            }
-            ShardBackend::GpuStyle(_) => {
-                let pool = &self.pool.as_ref().expect("pool built above").1;
-                pool.install(|| {
-                    (0..frontiers.len() * q).into_par_iter().for_each(|w| {
-                        bottom_up::expand_work_item(&expand_ctx, frontiers[w / q], w % q, level);
-                    });
-                });
-            }
-        }
-        // Boundary scan: cells that became `level + 1` this round.
+        let (req, clock) = Clock::decode::<wire::Expand>(ready, payload)?;
+        let (local, ctx, pool) = self.local()?;
         let mut outbox = Vec::new();
-        for &bl in &part.boundary {
-            for i in 0..q {
-                if state.hit(bl, i) == level + 1 {
-                    outbox.push((part.locals[bl as usize], i as u32));
-                }
-            }
-        }
+        local.expand(ctx.backend, pool, &ctx.tracker, &ctx.frontiers, req.level, &mut outbox);
         let total = ctx.tracker.expansions();
         let charged = total - ctx.charged_mark;
         ctx.charged_mark = total;
-        let traced = ctx.spans.is_some();
         let ok = wire::ExpandOk { outbox, charged };
-        let exec_done = Instant::now();
-        let span = traced.then(|| ShardSpan {
-            op: "expand".to_string(),
-            level: Some(level.into()),
-            wait_us: micros(ready, decode_from),
-            decode_us: micros(decode_from, decode_done),
-            exec_us: micros(decode_done, exec_done),
-            encode_us: 0,
-        });
-        self.finish(stream, wire::OP_EXPAND_OK, &wire::encode(&ok), span, exec_done)
+        let encode = || wire::encode(&ok);
+        self.finish(stream, wire::OP_EXPAND_OK, clock, "expand", Some(req.level), encode)
     }
 
     fn on_apply(
@@ -552,36 +482,12 @@ impl<'w> Conn<'w> {
         payload: &[u8],
         ready: Instant,
     ) -> Result<Flow, ConnError> {
-        let decode_from = Instant::now();
-        let req: wire::Apply = decode(payload)?;
-        let decode_done = Instant::now();
-        let (part, state, ctx) = self.query_mut()?;
-        // Membership filtering over the broadcast union — equivalent to
-        // the in-process holders routing: a pair reaches exactly the
-        // shards holding a replica, and only still-∞ cells accept it.
-        // Frontier flags rise only on owned replicas, the only ones
-        // whose flags are ever scanned.
-        for &(v, i) in &req.pairs {
-            if let Some(&l) = part.local_index.get(&v) {
-                if state.hit(l, i as usize) == INFINITE_LEVEL {
-                    state.set_hit(l, i as usize, req.level + 1);
-                    if l < part.num_owned {
-                        state.mark_frontier(l);
-                    }
-                }
-            }
+        let (req, clock) = Clock::decode::<wire::Apply>(ready, payload)?;
+        let (local, _, _) = self.local()?;
+        if !local.apply(&req.pairs, req.level) {
+            return Err(ConnError::new("bad_frame", "notification instance out of range"));
         }
-        let traced = ctx.spans.is_some();
-        let exec_done = Instant::now();
-        let span = traced.then(|| ShardSpan {
-            op: "apply".to_string(),
-            level: Some(req.level.into()),
-            wait_us: micros(ready, decode_from),
-            decode_us: micros(decode_from, decode_done),
-            exec_us: micros(decode_done, exec_done),
-            encode_us: 0,
-        });
-        self.finish(stream, wire::OP_APPLY_OK, &[], span, exec_done)
+        self.finish(stream, wire::OP_APPLY_OK, clock, "apply", Some(req.level), Vec::new)
     }
 
     fn on_collect(
@@ -590,55 +496,19 @@ impl<'w> Conn<'w> {
         payload: &[u8],
         ready: Instant,
     ) -> Result<Flow, ConnError> {
-        let decode_from = Instant::now();
-        let req: wire::Collect = decode(payload)?;
-        let decode_done = Instant::now();
-        let (part, state, ctx) = self.query_mut()?;
-        let limit = if req.include_halos {
-            part.locals.len()
-        } else {
-            part.num_owned as usize
-        };
-        let mut rows = Vec::new();
-        for l in 0..limit as u32 {
-            let hits: Vec<u8> = (0..ctx.q).map(|i| state.hit(l, i)).collect();
-            if hits.iter().all(|&h| h == INFINITE_LEVEL) {
-                continue; // untouched row: the coordinator defaults it
-            }
-            rows.push(wire::WireRow {
-                node: part.locals[l as usize],
-                hits,
-                keyword: state.is_keyword_node(l),
-                central: state.central_depth(l),
-            });
-        }
-        let qid = ctx.qid;
+        let (req, clock) = Clock::decode::<wire::Collect>(ready, payload)?;
+        let (local, ctx, _) = self.local()?;
+        let rows = local.rows(req.include_halos);
         let mut spans = ctx.spans.take();
-        let exec_done = Instant::now();
+        // This span ships inside the reply it measures, so its own
+        // encode+write time cannot be self-reported; the coordinator
+        // attributes it to wire time.
         if let Some(spans) = spans.as_mut() {
-            spans.push(ShardSpan {
-                op: "collect".to_string(),
-                level: None,
-                wait_us: micros(ready, decode_from),
-                decode_us: micros(decode_from, decode_done),
-                exec_us: micros(decode_done, exec_done),
-                // This span ships inside the reply it measures, so its own
-                // encode+write time cannot be self-reported; the
-                // coordinator attributes it to wire time.
-                encode_us: 0,
-            });
+            spans.push(clock.span("collect", None, Instant::now()));
         }
-        let ok = wire::CollectOk { rows, qid, spans };
+        let ok = wire::CollectOk { rows, qid: ctx.qid, spans };
         reply(stream, wire::OP_COLLECT_OK, &wire::encode(&ok))?;
         Ok(Flow::Continue)
-    }
-}
-
-/// The activation map for the in-flight query on this shard.
-fn activation<'a>(part: &'a ShardPart, ctx: &'a QueryCtx) -> ActivationMap<'a> {
-    match &ctx.local_act {
-        Some(table) => ActivationMap::Explicit(table),
-        None => ActivationMap::Computed { graph: &part.graph, config: ctx.config },
     }
 }
 
@@ -655,4 +525,58 @@ fn reply(stream: &mut TcpStream, opcode: u8, payload: &[u8]) -> Result<(), ConnE
 pub(super) fn expect_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
     read_frame(r)?
         .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed mid conversation"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shard::DEFAULT_PARTITION_SEED;
+    use crate::SearchParams;
+    use kgraph::GraphBuilder;
+    use textindex::{InvertedIndex, ParsedQuery};
+
+    /// One RPC over a raw connection: the reply's opcode and payload.
+    fn rpc(stream: &mut TcpStream, op: u8, payload: &[u8]) -> (u8, Vec<u8>) {
+        write_frame(stream, op, payload).expect("request written");
+        expect_frame(stream).expect("reply read")
+    }
+
+    #[test]
+    fn apply_rejects_an_instance_outside_the_query() {
+        let mut b = GraphBuilder::new();
+        let a = b.add_node("a", "alpha");
+        let z = b.add_node("z", "omega");
+        let m = b.add_node("m", "middle");
+        b.add_edge(a, m, "e");
+        b.add_edge(z, m, "e");
+        let g = b.build();
+        let query = ParsedQuery::parse(&InvertedIndex::build(&g), "alpha omega");
+        let mut stream =
+            TcpStream::connect(ShardWorker::spawn_local(&g, 1, 0, DEFAULT_PARTITION_SEED))
+                .expect("worker listening");
+        let hello = Hello {
+            version: wire::PROTOCOL_VERSION,
+            shards: 1,
+            shard_index: 0,
+            num_nodes: g.num_nodes() as u64,
+            seed: DEFAULT_PARTITION_SEED,
+        };
+        assert_eq!(rpc(&mut stream, wire::OP_HELLO, &wire::encode(&hello)).0, wire::OP_HELLO_OK);
+        let start = wire::Start {
+            query: wire::WireQuery::from_query(&query),
+            params: SearchParams::default(),
+            activation: None,
+            backend: "Seq".to_string(),
+            threads: 1,
+            qid: None,
+            spans: None,
+        };
+        assert_eq!(rpc(&mut stream, wire::OP_START, &wire::encode(&start)).0, wire::OP_START_OK);
+        // Instance 2 of a 2-keyword query would land in node 1's row.
+        let apply = wire::Apply { level: 0, pairs: vec![(0, 2)] };
+        let (op, body) = rpc(&mut stream, wire::OP_APPLY, &wire::encode(&apply));
+        assert_eq!(op, wire::OP_ERROR, "an out-of-range pair is a protocol violation");
+        let err: wire::WireError = wire::decode(&body).expect("structured error");
+        assert_eq!(err.code, "bad_frame");
+    }
 }

@@ -22,7 +22,6 @@
 //! [`crate::pool::SessionPool`] (as `wikisearch-engine` does) or keep one
 //! session per worker.
 
-use crate::bottom_up::BottomUpScratch;
 use crate::engine::par_dyn::DynState;
 use crate::state::SearchState;
 
@@ -55,8 +54,9 @@ use crate::state::SearchState;
 pub struct SearchSession {
     /// Epoch-stamped matrix state shared by the three matrix engines.
     pub(crate) state: SearchState,
-    /// Driver queue buffers (frontier queue, per-level identifications).
-    pub(crate) scratch: BottomUpScratch,
+    /// The driver's joint frontier queue, refilled per level; kept so
+    /// the warm path re-enters with capacity already grown.
+    pub(crate) frontiers: Vec<u32>,
     /// CPU-Par-d's lock-based state, materialized on first use.
     pub(crate) dyn_state: Option<DynState>,
     /// Number of queries answered through this session.

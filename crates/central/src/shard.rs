@@ -35,25 +35,27 @@
 //!
 //! ## The round protocol ([`ShardedSearch`])
 //!
-//! The coordinator mirrors [`crate::bottom_up::run`] phase for phase; the
-//! global level barrier is simply a fork-join over the shard lanes:
+//! The rounds are the `driver` module's; this module supplies the transport
+//! (`Lanes`), whose every phase fork-joins the shard-local steps of
+//! `ShardLocal` over the shard lanes — the global level barrier is the
+//! join. The same steps serve the remote workers:
 //!
 //! 1. **enqueue** (parallel): each shard drains the frontier flags of its
 //!    *owned* nodes — every global frontier node is counted exactly once,
 //!    by its owner.
-//! 2. **identify** (parallel): [`crate::bottom_up::identify_sequential`]
-//!    over each shard's owned frontiers; the owner's replica always holds
-//!    the complete `M` row (see the sync invariant below).
-//! 3. **merge** (coordinator): per-shard cohorts map back to global ids
-//!    and merge in ascending order — the same within-level order the
-//!    monolithic frontier scan produces.
+//! 2. **identify** (parallel): sequential identification over each
+//!    shard's owned frontiers; the owner's replica always holds the
+//!    complete `M` row (see the sync invariant below).
+//! 3. **merge** (coordinator): per-shard cohorts, as global ids, merge in
+//!    ascending order — the same within-level order the monolithic
+//!    frontier scan produces.
 //! 4. **expand** (parallel): the backend's expansion kernel runs over
 //!    each shard's owned frontiers against its local sub-graph, charging
 //!    the one shared [`crate::budget::BudgetTracker`].
-//! 5. **exchange** (coordinator): each shard scans its boundary table for
-//!    cells that became `level + 1` this round; the coordinator dedups
-//!    the union and broadcasts each surviving `(node, instance)` pair to
-//!    every holder whose replica still reads `∞`.
+//! 5. **exchange**: each shard scans its boundary table for cells that
+//!    became `level + 1` this round; the coordinator dedups the union and
+//!    broadcasts it, and every shard applies the pairs it holds a replica
+//!    of to replicas still reading `∞`.
 //!
 //! The dedup in step 5 is the synchronous degenerate form of DKWS's
 //! monotone upper-bound pruning: in a level-synchronous search every
@@ -94,16 +96,15 @@
 //! all four backend names.
 
 use crate::activation::{ActivationConfig, ActivationMap};
-use crate::bottom_up::{self, ExpandCtx, LevelTrace, TerminationReason};
-use crate::budget::QueryBudget;
-use crate::engine::{SearchOutcome, SearchStats};
+use crate::bottom_up::{self, ExpandCtx, LevelObservation};
+use crate::budget::{BudgetTracker, QueryBudget};
+use crate::driver::{self, Armed, Rounds, Transport};
+use crate::engine::SearchOutcome;
 use crate::error::SearchError;
-use crate::model::{CentralGraph, INFINITE_LEVEL};
+use crate::model::INFINITE_LEVEL;
 use crate::pool::{PoolStats, SessionPool};
-use crate::profile::PhaseProfile;
-use crate::state::{HitLevels, SearchState};
-use crate::top_down;
-use crate::trace::{PhaseMillis, QueryTrace, TraceLevelRecord};
+use crate::remote::wire::WireRow;
+use crate::state::{HitLevels, LevelStore, SearchState};
 use crate::SearchParams;
 use kgraph::{GraphBuilder, KnowledgeGraph, NodeId};
 use std::collections::HashMap;
@@ -170,6 +171,13 @@ impl ShardPart {
                 .collect(),
             unmatched: query.unmatched.clone(),
         }
+    }
+
+    /// Remap an explicit global activation table onto this shard's local
+    /// ids (`None` stays `None`: levels are then computed from the copied
+    /// global weights).
+    pub(crate) fn localize_activation(&self, table: Option<&[u8]>) -> Option<Vec<u8>> {
+        table.map(|levels| self.locals.iter().map(|&v| levels[v as usize]).collect())
     }
 }
 
@@ -315,7 +323,8 @@ impl ShardPlan {
 
 /// Which expansion kernel each shard runs. Mirrors the four engine names;
 /// `CPU-Par-d` shards run on the matrix substrate (the dynamic engine is
-/// answer- and trace-identical, so the kernels are interchangeable).
+/// answer- and trace-identical, so the kernels are interchangeable). The
+/// kernel each backend selects is `ShardBackend::expand`'s business.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardBackend {
     /// Sequential expansion per shard (shards still run concurrently).
@@ -339,6 +348,19 @@ impl ShardBackend {
         }
     }
 
+    /// The inverse of [`ShardBackend::base_name`]: the backend named
+    /// `name`, configured with `threads` workers (ignored by `Seq`), or
+    /// `None` for an unknown name.
+    pub fn from_name(name: &str, threads: usize) -> Option<ShardBackend> {
+        match name {
+            "Seq" => Some(ShardBackend::Seq),
+            "CPU-Par" => Some(ShardBackend::ParCpu(threads)),
+            "GPU-Par" => Some(ShardBackend::GpuStyle(threads)),
+            "CPU-Par-d" => Some(ShardBackend::DynPar(threads)),
+            _ => None,
+        }
+    }
+
     /// Worker threads the backend was configured with (1 for `Seq`).
     pub fn threads(&self) -> usize {
         match *self {
@@ -348,18 +370,37 @@ impl ShardBackend {
             }
         }
     }
+
+    /// Whether the backend's kernels run on a thread pool.
+    pub(crate) fn parallel(&self) -> bool {
+        matches!(self, ShardBackend::ParCpu(_) | ShardBackend::GpuStyle(_))
+    }
 }
 
-/// Cross-query counters of one [`ShardedSearch`].
+/// Cross-query counters of the boundary exchange, shared by the
+/// in-process and the remote coordinator.
 #[derive(Default)]
-struct ShardCounters {
+pub(crate) struct ExchangeCounters {
     /// BFS rounds that ran an expansion + exchange step.
-    rounds: AtomicU64,
+    pub(crate) rounds: AtomicU64,
     /// Unique `(node, instance)` boundary updates broadcast to replicas.
-    notifications: AtomicU64,
+    pub(crate) notifications: AtomicU64,
     /// Outbox entries dropped by the monotone-bound dedup before
     /// broadcast.
-    suppressed: AtomicU64,
+    pub(crate) suppressed: AtomicU64,
+}
+
+impl ExchangeCounters {
+    /// Dedup one round's outbox union in place — the synchronous
+    /// monotone-bound prune — and count the round.
+    pub(crate) fn dedup(&self, pairs: &mut Vec<(u32, u32)>) {
+        let sent = pairs.len();
+        pairs.sort_unstable();
+        pairs.dedup();
+        self.rounds.fetch_add(1, Ordering::Relaxed);
+        self.notifications.fetch_add(pairs.len() as u64, Ordering::Relaxed);
+        self.suppressed.fetch_add((sent - pairs.len()) as u64, Ordering::Relaxed);
+    }
 }
 
 /// A monitoring snapshot of a [`ShardedSearch`] (`STATS` / `METRICS`).
@@ -377,26 +418,121 @@ pub struct ShardedStats {
     pub pools: PoolStats,
 }
 
-/// Per-shard shared (read-only) state of one in-flight query.
-struct Lane<'a> {
-    part: &'a ShardPart,
-    state: &'a SearchState,
-    act: ActivationMap<'a>,
+/// One shard's slice of an in-flight query: its part, its replica state
+/// and its activation map. The shard-local steps of the round protocol
+/// are its methods, shared by the in-process lanes and `remote::worker`.
+pub(crate) struct ShardLocal<'a> {
+    pub(crate) part: &'a ShardPart,
+    pub(crate) state: &'a SearchState,
+    pub(crate) act: ActivationMap<'a>,
 }
 
-/// Per-shard mutable buffers of one in-flight query. Kept behind one
-/// uncontended mutex per shard so the fork-join phases can write them
-/// from pool workers (exactly one worker touches each lane per phase).
-#[derive(Default)]
-struct LaneBufs {
-    frontiers: Vec<u32>,
-    newly: Vec<u32>,
-    /// `(global node, instance)` cells that became `level + 1` this round.
-    outbox: Vec<(u32, u32)>,
-    /// Traced-query observation: keyword cells first covered this level.
-    new_hits: usize,
-    /// Traced-query observation: frontier nodes still activation-gated.
-    deferred: usize,
+impl ShardLocal<'_> {
+    /// Enqueue: drain the frontier flags of the *owned* nodes. Halo flags
+    /// are never scanned, so each global frontier node is drained exactly
+    /// once, by its owner.
+    pub(crate) fn enqueue(&self, frontiers: &mut Vec<u32>) {
+        frontiers.clear();
+        for v in 0..self.part.num_owned {
+            if self.state.take_frontier_flag(v) {
+                frontiers.push(v);
+            }
+        }
+    }
+
+    /// Identify: the Central Nodes of `level` among the owned
+    /// `frontiers`, as global ids (the owner's replica always holds the
+    /// complete `M` row), plus the level's observation when `traced`.
+    pub(crate) fn identify(
+        &self,
+        frontiers: &[u32],
+        level: u8,
+        traced: bool,
+        newly: &mut Vec<u32>,
+    ) -> LevelObservation {
+        let seen =
+            bottom_up::identify(None, self.state, &self.act, frontiers, level, traced, newly);
+        for v in newly.iter_mut() {
+            *v = self.part.locals[*v as usize];
+        }
+        seen
+    }
+
+    /// Expand + boundary scan: run `backend`'s kernel over the owned
+    /// `frontiers` against the local sub-graph, then list in `outbox`
+    /// every boundary cell `(global node, instance)` that became
+    /// `level + 1` this round — written by local expansion into an owned
+    /// node or into a halo replica.
+    #[allow(clippy::too_many_arguments)] // one step's inputs, as both callers hold them
+    pub(crate) fn expand(
+        &self,
+        backend: ShardBackend,
+        pool: Option<&rayon::ThreadPool>,
+        budget: &BudgetTracker,
+        frontiers: &[u32],
+        level: u8,
+        outbox: &mut Vec<(u32, u32)>,
+    ) {
+        let ctx = ExpandCtx { graph: &self.part.graph, act: &self.act, state: self.state, budget };
+        backend.expand(pool, &ctx, frontiers, level);
+        outbox.clear();
+        for &b in &self.part.boundary {
+            for i in 0..self.state.num_keywords() {
+                if self.state.hit(b, i) == level + 1 {
+                    outbox.push((self.part.locals[b as usize], i as u32));
+                }
+            }
+        }
+    }
+
+    /// Apply notifications: every `(global node, instance)` pair whose
+    /// node this part holds a replica of, and whose cell still reads `∞`,
+    /// becomes `level + 1`. Membership filtering over the broadcast union
+    /// reaches exactly the node's replica holders. Frontier flags rise
+    /// only on owned replicas, the only ones ever scanned. Returns `false`
+    /// at the first pair naming an instance outside the query.
+    pub(crate) fn apply(&self, pairs: &[(u32, u32)], level: u8) -> bool {
+        for &(v, i) in pairs {
+            let i = i as usize;
+            if i >= self.state.num_keywords() {
+                return false;
+            }
+            if let Some(&l) = self.part.local_index.get(&v) {
+                if self.state.hit(l, i) == INFINITE_LEVEL {
+                    self.state.set_hit(l, i, level + 1);
+                    if l < self.part.num_owned {
+                        self.state.mark_frontier(l);
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Collect rows: every owned row (every row when `include_halos`)
+    /// with at least one finite hitting level, for the top-down stage.
+    pub(crate) fn rows(&self, include_halos: bool) -> Vec<WireRow> {
+        let limit = if include_halos {
+            self.part.locals.len()
+        } else {
+            self.part.num_owned as usize
+        };
+        let mut rows = Vec::new();
+        for l in 0..limit as u32 {
+            let hits: Vec<u8> =
+                (0..self.state.num_keywords()).map(|i| self.state.hit(l, i)).collect();
+            if hits.iter().all(|&h| h == INFINITE_LEVEL) {
+                continue; // untouched row: the coordinator defaults it
+            }
+            rows.push(WireRow {
+                node: self.part.locals[l as usize],
+                hits,
+                keyword: self.state.is_keyword_node(l),
+                central: self.state.central_depth(l),
+            });
+        }
+        rows
+    }
 }
 
 /// Routes global node ids to the owning shard's search state, so the
@@ -434,6 +570,85 @@ impl HitLevels for ShardedHitLevels<'_> {
     }
 }
 
+/// Per-shard mutable buffers of one in-flight query. Kept behind one
+/// uncontended mutex per shard so the fork-join phases can write them
+/// from pool workers (exactly one worker touches each lane per phase).
+#[derive(Default)]
+struct LaneBufs {
+    frontiers: Vec<u32>,
+    /// Newly identified central nodes, as global ids.
+    newly: Vec<u32>,
+    seen: LevelObservation,
+    /// `(global node, instance)` cells that became `level + 1` this round.
+    outbox: Vec<(u32, u32)>,
+}
+
+/// The in-process transport: each phase fork-joins the shard lanes on
+/// the compute pool — the global level barrier is the join.
+struct Lanes<'a> {
+    search: &'a ShardedSearch,
+    budget: &'a BudgetTracker,
+    lanes: Vec<(ShardLocal<'a>, parking_lot::Mutex<LaneBufs>)>,
+}
+
+impl Lanes<'_> {
+    /// Run `phase` on every shard lane at once.
+    fn fork(&self, phase: impl Fn(&ShardLocal<'_>, &mut LaneBufs) + Sync) {
+        use rayon::prelude::*;
+        self.search.compute.install(|| {
+            self.lanes.par_iter().for_each(|(local, bufs)| phase(local, &mut bufs.lock()));
+        });
+    }
+}
+
+impl Transport for Lanes<'_> {
+    type Error = SearchError;
+
+    fn enqueue(&mut self) -> Result<usize, SearchError> {
+        self.fork(|local, b| local.enqueue(&mut b.frontiers));
+        Ok(self.lanes.iter().map(|(_, b)| b.lock().frontiers.len()).sum())
+    }
+
+    fn identify(
+        &mut self,
+        level: u8,
+        traced: bool,
+        newly: &mut Vec<u32>,
+    ) -> Result<LevelObservation, SearchError> {
+        self.fork(|local, b| b.seen = local.identify(&b.frontiers, level, traced, &mut b.newly));
+        // Merge per-shard cohorts back to ascending global ids — the
+        // within-level order of the monolithic frontier scan.
+        newly.clear();
+        let mut seen = LevelObservation::default();
+        for (_, b) in &self.lanes {
+            let b = b.lock();
+            newly.extend_from_slice(&b.newly);
+            seen.new_hits += b.seen.new_hits;
+            seen.activation_deferred += b.seen.activation_deferred;
+        }
+        newly.sort_unstable();
+        Ok(seen)
+    }
+
+    fn expand(&mut self, level: u8) -> Result<(), SearchError> {
+        let (backend, budget) = (self.search.backend, self.budget);
+        self.fork(|local, b| {
+            local.expand(backend, None, budget, &b.frontiers, level, &mut b.outbox)
+        });
+        // Exchange: dedup the union and broadcast each survivor to every
+        // replica still reading ∞.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for (_, b) in &self.lanes {
+            pairs.extend_from_slice(&b.lock().outbox);
+        }
+        self.search.counters.dedup(&mut pairs);
+        self.fork(|local, _| {
+            local.apply(&pairs, level);
+        });
+        Ok(())
+    }
+}
+
 /// Scatter-gather coordinator over an in-process [`ShardPlan`]: scatters
 /// a query to all shards, drives the round protocol, and merges per-shard
 /// candidates into the monolithic top-(k,d) answer set. See the module
@@ -444,7 +659,7 @@ pub struct ShardedSearch {
     compute: rayon::ThreadPool,
     backend: ShardBackend,
     name: String,
-    counters: ShardCounters,
+    counters: ExchangeCounters,
 }
 
 impl ShardedSearch {
@@ -457,7 +672,7 @@ impl ShardedSearch {
         let pools = (0..shards).map(|_| SessionPool::new()).collect();
         let compute = crate::engine::build_pool(backend.threads().max(shards));
         let name = format!("{}[shards={shards}]", backend.base_name());
-        ShardedSearch { plan, pools, compute, backend, name, counters: ShardCounters::default() }
+        ShardedSearch { plan, pools, compute, backend, name, counters: ExchangeCounters::default() }
     }
 
     /// Number of shards.
@@ -511,8 +726,8 @@ impl ShardedSearch {
         params: &SearchParams,
         budget: &QueryBudget,
     ) -> Result<SearchOutcome, SearchError> {
-        use rayon::prelude::*;
-
+        // Validated ahead of the checkout, so a bad parameter set never
+        // quarantines the cohort.
         if let Err(e) = params.validate() {
             panic!("invalid search parameters: {e}");
         }
@@ -520,304 +735,53 @@ impl ShardedSearch {
         // from here on unwinds through all the guards and quarantines the
         // whole cohort (PooledSession::drop sees thread::panicking()).
         let mut sessions: Vec<_> = self.pools.iter().map(|p| p.checkout()).collect();
-        let tracker = if params.trace.enabled() {
-            budget.start_counting()
-        } else {
-            budget.start()
+        let tracker = match driver::arm(query, params, budget, &self.name, None) {
+            Armed::Search(tracker) => tracker,
+            Armed::Done(verdict) => return verdict,
         };
-        tracker.checkpoint()?;
-        #[cfg(feature = "fault-inject")]
-        crate::fault::inject(query, &tracker)?;
-        if query.is_empty() {
-            let mut out = SearchOutcome::default();
-            if params.trace.enabled() {
-                out.trace = Some(Box::new(QueryTrace {
-                    engine: self.name.clone(),
-                    ..QueryTrace::default()
-                }));
-            }
-            return Ok(out);
-        }
-        let mut profile = PhaseProfile::default();
-        let q = query.num_keywords();
+        let mut rounds = Rounds::new(params);
 
         // Scatter: localize the query per shard (halo sources included)
         // and re-arm every shard session.
         let t = Instant::now();
-        let local_queries: Vec<ParsedQuery> =
-            self.plan.parts.iter().map(|p| p.localize_query(query)).collect();
-        for (session, (part, lq)) in
-            sessions.iter_mut().zip(self.plan.parts.iter().zip(&local_queries))
-        {
-            session.state.begin_query(part.graph.num_nodes(), lq);
+        for (session, part) in sessions.iter_mut().zip(&self.plan.parts) {
+            session.state.begin_query(part.graph.num_nodes(), &part.localize_query(query));
             session.queries_run += 1;
         }
-        profile.init = t.elapsed();
+        rounds.profile.init = t.elapsed();
 
-        let explicit = params.explicit_activation.clone();
-        let config =
-            ActivationConfig { alpha: params.alpha, average_distance: params.average_distance };
         // Explicit activation tables remap global → local per shard.
-        let local_acts: Vec<Option<Vec<u8>>> = self
-            .plan
-            .parts
-            .iter()
-            .map(|p| {
-                explicit
-                    .as_ref()
-                    .map(|levels| p.locals.iter().map(|&v| levels[v as usize]).collect())
-            })
-            .collect();
-        let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(self.plan.shards);
-        for (s, part) in self.plan.parts.iter().enumerate() {
-            let act = match &local_acts[s] {
-                Some(table) => ActivationMap::Explicit(table),
-                None => ActivationMap::Computed { graph: &part.graph, config },
-            };
-            lanes.push(Lane { part, state: sessions[s].state(), act });
-        }
-        let lanes = &lanes[..];
-        let bufs: Vec<parking_lot::Mutex<LaneBufs>> =
-            lanes.iter().map(|_| parking_lot::Mutex::new(LaneBufs::default())).collect();
-        let bufs = &bufs[..];
-        let shards = self.plan.shards;
-
-        // The level-synchronous round loop — a fork-join mirror of
-        // `bottom_up::run`, with the boundary exchange as step 5.
-        let max_level = params.max_level.min(254);
-        let backend = self.backend;
-        let traced = params.trace.enabled();
-        let mut cohort: Vec<(NodeId, u8)> = Vec::new();
-        let mut level_trace: Vec<LevelTrace> = Vec::new();
-        let mut records: Option<Vec<TraceLevelRecord>> = traced.then(Vec::new);
-        let mut peak_frontier = 0usize;
-        let mut level: u8 = 0;
-        let terminated = loop {
-            tracker.checkpoint()?;
-            let t = Instant::now();
-            self.compute.install(|| {
-                (0..shards).into_par_iter().for_each(|s| {
-                    let lane = &lanes[s];
-                    let b = &mut *bufs[s].lock();
-                    // Owned nodes only: halo flags are never scanned, so
-                    // each global frontier node is drained exactly once.
-                    b.frontiers.clear();
-                    for v in 0..lane.part.num_owned {
-                        if lane.state.take_frontier_flag(v) {
-                            b.frontiers.push(v);
-                        }
-                    }
-                });
-            });
-            profile.enqueue += t.elapsed();
-            let frontier_total: usize = bufs.iter().map(|b| b.lock().frontiers.len()).sum();
-            peak_frontier = peak_frontier.max(frontier_total);
-            if frontier_total == 0 {
-                break TerminationReason::FrontierExhausted;
-            }
-
-            let t = Instant::now();
-            self.compute.install(|| {
-                (0..shards).into_par_iter().for_each(|s| {
-                    let lane = &lanes[s];
-                    let b = &mut *bufs[s].lock();
-                    bottom_up::identify_sequential(lane.state, &b.frontiers, level, &mut b.newly);
-                    if traced {
-                        b.new_hits = b
-                            .frontiers
-                            .iter()
-                            .map(|&f| (0..q).filter(|&i| lane.state.hit(f, i) == level).count())
-                            .sum();
-                        b.deferred = b
-                            .frontiers
-                            .iter()
-                            .filter(|&&f| lane.act.level(NodeId(f)) > level)
-                            .count();
-                    }
-                });
-            });
-            profile.identify += t.elapsed();
-            // Merge per-shard cohorts back to ascending global ids — the
-            // within-level order of the monolithic frontier scan.
-            let mut newly: Vec<u32> = Vec::new();
-            let (mut new_hits, mut deferred) = (0usize, 0usize);
-            for (s, lane) in lanes.iter().enumerate() {
-                let b = bufs[s].lock();
-                newly.extend(b.newly.iter().map(|&loc| lane.part.locals[loc as usize]));
-                new_hits += b.new_hits;
-                deferred += b.deferred;
-            }
-            newly.sort_unstable();
-            level_trace.push(LevelTrace {
-                level,
-                frontier: frontier_total,
-                identified: newly.len(),
-            });
-            if let Some(recs) = records.as_mut() {
-                recs.push(TraceLevelRecord {
-                    level: u32::from(level),
-                    frontier: frontier_total,
-                    identified: newly.len(),
-                    new_hits,
-                    activation_deferred: deferred,
-                    expansions: 0, // filled in after this level's expansion
-                    budget_remaining: tracker.remaining(),
-                });
-            }
-            cohort.extend(newly.iter().map(|&v| (NodeId(v), level)));
-            if cohort.len() >= params.top_k {
-                break TerminationReason::EnoughCentralNodes;
-            }
-            if level >= max_level {
-                break TerminationReason::LevelCap;
-            }
-
-            let charged_before = if records.is_some() {
-                tracker.expansions()
-            } else {
-                0
-            };
-            let t = Instant::now();
-            self.compute.install(|| {
-                (0..shards).into_par_iter().for_each(|s| {
-                    let lane = &lanes[s];
-                    let b = &mut *bufs[s].lock();
-                    let ctx = ExpandCtx {
-                        graph: &lane.part.graph,
-                        act: &lane.act,
-                        state: lane.state,
-                        budget: &tracker,
-                    };
-                    match backend {
-                        ShardBackend::Seq | ShardBackend::DynPar(_) => {
-                            for &f in &b.frontiers {
-                                bottom_up::expand_frontier(&ctx, f, level);
-                            }
-                        }
-                        ShardBackend::ParCpu(_) => {
-                            b.frontiers
-                                .par_iter()
-                                .for_each(|&f| bottom_up::expand_frontier(&ctx, f, level));
-                        }
-                        ShardBackend::GpuStyle(_) => {
-                            let frontiers = &b.frontiers;
-                            (0..frontiers.len() * q).into_par_iter().for_each(|w| {
-                                bottom_up::expand_work_item(&ctx, frontiers[w / q], w % q, level);
-                            });
-                        }
-                    }
-                    // Boundary scan: cells that became `level + 1` this
-                    // round, whether written by local expansion into an
-                    // owned node or into a halo replica.
-                    b.outbox.clear();
-                    for &bl in &lane.part.boundary {
-                        for i in 0..q {
-                            if lane.state.hit(bl, i) == level + 1 {
-                                b.outbox.push((lane.part.locals[bl as usize], i as u32));
-                            }
-                        }
-                    }
-                });
-            });
-            // Exchange: dedup the union (the synchronous monotone-bound
-            // prune) and broadcast each survivor to every replica still
-            // reading ∞. Frontier flags are raised only on owners — the
-            // only replicas whose flags are scanned.
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            for b in bufs {
-                pairs.extend_from_slice(&b.lock().outbox);
-            }
-            let sent = pairs.len();
-            pairs.sort_unstable();
-            pairs.dedup();
-            self.counters.rounds.fetch_add(1, Ordering::Relaxed);
-            self.counters.notifications.fetch_add(pairs.len() as u64, Ordering::Relaxed);
-            self.counters
-                .suppressed
-                .fetch_add((sent - pairs.len()) as u64, Ordering::Relaxed);
-            for &(v, i) in &pairs {
-                for &s in &self.plan.holders[&v] {
-                    let lane = &lanes[s as usize];
-                    let l = lane.part.local_index[&v];
-                    if lane.state.hit(l, i as usize) == INFINITE_LEVEL {
-                        lane.state.set_hit(l, i as usize, level + 1);
-                        if l < lane.part.num_owned {
-                            lane.state.mark_frontier(l);
-                        }
-                    }
-                }
-            }
-            profile.expansion += t.elapsed();
-            if let Some(last) = records.as_mut().and_then(|r| r.last_mut()) {
-                last.expansions = tracker.expansions() - charged_before;
-                last.budget_remaining = tracker.remaining();
-            }
-            level += 1;
+        let explicit = params.explicit_activation.as_deref().map(Vec::as_slice);
+        let tables: Vec<Option<Vec<u8>>> =
+            self.plan.parts.iter().map(|p| p.localize_activation(explicit)).collect();
+        let config = ActivationConfig::of(params);
+        let mut lanes = Lanes {
+            search: self,
+            budget: &tracker,
+            lanes: self
+                .plan
+                .parts
+                .iter()
+                .zip(&sessions)
+                .zip(&tables)
+                .map(|((part, session), table)| {
+                    let act = ActivationMap::select(&part.graph, config, table.as_deref());
+                    (ShardLocal { part, state: session.state(), act }, Default::default())
+                })
+                .collect(),
         };
-        let last_level = level;
+        let terminated = rounds.run(&mut lanes, &tracker)?;
 
         // Top-down over the *global* graph, routing hitting levels to the
         // owning shard — byte-for-byte the monolithic stage.
-        cohort.truncate(params.max_candidates);
-        let global_act = match &explicit {
-            Some(levels) => ActivationMap::Explicit(levels),
-            None => ActivationMap::Computed { graph, config },
-        };
         let hits = ShardedHitLevels {
             plan: &self.plan,
-            states: lanes.iter().map(|l| l.state).collect(),
-            q,
+            states: sessions.iter().map(|s| s.state()).collect(),
+            q: query.num_keywords(),
         };
-        let t = Instant::now();
-        let candidates: Option<Vec<CentralGraph>> = self.compute.install(|| {
-            cohort
-                .par_iter()
-                .map(|&(c, d)| {
-                    if tracker.should_stop() {
-                        return None;
-                    }
-                    let e = top_down::extract(graph, &global_act, &hits, c.0, d);
-                    Some(top_down::prune_and_score(graph, &hits, &e, params))
-                })
-                .collect()
-        });
-        let Some(candidates) = candidates else {
-            return Err(tracker
-                .error()
-                .expect("a stopped top-down stage implies a tripped budget"));
-        };
-        let answers = top_down::select_top_k(candidates, params);
-        profile.top_down = t.elapsed();
-
-        let trace = records.take().map(|levels| {
-            Box::new(QueryTrace {
-                engine: self.name.clone(),
-                keywords: q,
-                total_expansions: tracker.expansions(),
-                terminated: terminated == TerminationReason::LevelCap,
-                levels,
-                cache: None,
-                session_id: None,
-                session_queries: None,
-                batch_id: None,
-                co_batched: None,
-                phase_ms: PhaseMillis::from(&profile),
-                qid: None,
-                cache_source_qid: None,
-                shard_timelines: None,
-            })
-        });
-        Ok(SearchOutcome {
-            answers,
-            profile,
-            stats: SearchStats {
-                last_level,
-                central_candidates: cohort.len(),
-                peak_frontier,
-                trace: level_trace,
-            },
-            trace,
-        })
+        let act = ActivationMap::for_params(graph, params);
+        let pool = Some(&self.compute);
+        rounds.finish(terminated, &self.name, graph, &act, &hits, params, &tracker, pool)
     }
 }
 
@@ -1007,6 +971,21 @@ mod tests {
                 assert_eq!(local, global, "owned node {v} lost adjacency");
             }
         }
+    }
+
+    #[test]
+    fn backend_names_round_trip() {
+        let backends = [
+            ShardBackend::Seq,
+            ShardBackend::ParCpu(3),
+            ShardBackend::GpuStyle(2),
+            ShardBackend::DynPar(5),
+        ];
+        for backend in backends {
+            let name = backend.base_name();
+            assert_eq!(ShardBackend::from_name(name, backend.threads()), Some(backend), "{name}");
+        }
+        assert_eq!(ShardBackend::from_name("GPU", 2), None, "names are exact");
     }
 
     #[test]

@@ -175,47 +175,10 @@ impl SearchState {
         self.epoch
     }
 
-    /// Number of query keywords `q`.
-    #[inline]
-    pub fn num_keywords(&self) -> usize {
-        self.q
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.n
-    }
-
-    /// Hitting level `M[v][i]` (255 = not yet hit).
-    #[inline]
-    pub fn hit(&self, v: u32, i: usize) -> u8 {
-        let cell = self.matrix[v as usize * self.q + i].load(Ordering::Relaxed);
-        unpack(cell, self.epoch, INFINITE_LEVEL)
-    }
-
-    /// Record a hit: `M[v][i] ← level`. Racing writers store the same
-    /// packed `(epoch, level)` word (Theorem V.2), so a plain store
-    /// suffices.
-    #[inline]
-    pub fn set_hit(&self, v: u32, i: usize, level: u8) {
-        self.matrix[v as usize * self.q + i].store(pack(self.epoch, level), Ordering::Relaxed);
-    }
-
-    /// `true` if `v` has been hit by every BFS instance — the Central Node
-    /// condition (Def. 3).
-    #[inline]
-    pub fn row_complete(&self, v: u32) -> bool {
-        let base = v as usize * self.q;
-        self.matrix[base..base + self.q].iter().all(|m| {
-            unpack(m.load(Ordering::Relaxed), self.epoch, INFINITE_LEVEL) != INFINITE_LEVEL
-        })
-    }
-
-    /// Set `FIdentifier[v] ← 1` (node becomes/stays a frontier).
-    #[inline]
-    pub fn mark_frontier(&self, v: u32) {
-        self.frontier[v as usize].store(pack(self.epoch, 1), Ordering::Relaxed);
     }
 
     /// Read and clear one frontier flag (sequential enqueue). A stale
@@ -244,20 +207,6 @@ impl SearchState {
         self.frontier[v as usize].store(pack(self.epoch, 0), Ordering::Relaxed);
     }
 
-    /// `true` if `v` was identified as a Central Node.
-    #[inline]
-    pub fn is_central(&self, v: u32) -> bool {
-        unpack(self.central[v as usize].load(Ordering::Relaxed), self.epoch, 0) != 0
-    }
-
-    /// Mark `v` as a Central Node identified at `depth` (it becomes
-    /// unavailable for expansion from this level on).
-    #[inline]
-    pub fn mark_central(&self, v: u32, depth: u8) {
-        debug_assert!(depth < u8::MAX);
-        self.central[v as usize].store(pack(self.epoch, depth + 1), Ordering::Relaxed);
-    }
-
     /// The identification depth of `v` if it is a Central Node.
     #[inline]
     pub fn central_depth(&self, v: u32) -> Option<u8> {
@@ -265,24 +214,6 @@ impl SearchState {
             0 => None,
             d => Some(d - 1),
         }
-    }
-
-    /// `true` if `v` contains at least one query keyword.
-    #[inline]
-    pub fn is_keyword_node(&self, v: u32) -> bool {
-        self.is_keyword[v as usize] == self.epoch
-    }
-
-    /// `true` if `v` is a source of instance `i` (`v ∈ T_i ⇔ M[v][i] = 0`).
-    #[inline]
-    pub fn is_source(&self, v: u32, i: usize) -> bool {
-        self.hit(v, i) == 0
-    }
-
-    /// Number of keywords contained in `v` (its level-cover class).
-    #[inline]
-    pub fn keyword_count(&self, v: u32) -> usize {
-        (0..self.q).filter(|&i| self.is_source(v, i)).count()
     }
 
     /// Copy out the matrix (tests/debugging). Stale cells read as ∞.
@@ -318,17 +249,75 @@ pub trait HitLevels {
 }
 
 impl HitLevels for SearchState {
+    #[inline]
     fn num_keywords(&self) -> usize {
-        SearchState::num_keywords(self)
+        self.q
     }
+    #[inline]
     fn hit(&self, v: u32, i: usize) -> u8 {
-        SearchState::hit(self, v, i)
+        let cell = self.matrix[v as usize * self.q + i].load(Ordering::Relaxed);
+        unpack(cell, self.epoch, INFINITE_LEVEL)
     }
+    #[inline]
     fn is_keyword_node(&self, v: u32) -> bool {
-        SearchState::is_keyword_node(self, v)
+        self.is_keyword[v as usize] == self.epoch
     }
     fn central_depth(&self, v: u32) -> Option<u8> {
         SearchState::central_depth(self, v)
+    }
+}
+
+/// Write side of the hitting-level storage the bottom-up kernels
+/// ([`crate::bottom_up`]) run against: the single-query [`SearchState`]
+/// and one lane of the multi-query [`crate::batch::BatchState`]. Kernels
+/// are generic over it, so every storage gets its own monomorphized copy
+/// and no call per node or per edge is dynamically dispatched.
+pub trait LevelStore: HitLevels + Sync {
+    /// Record a hit: `M[v][i] ← level`. Racing writers store the same
+    /// value (Theorem V.2).
+    fn set_hit(&self, v: u32, i: usize, level: u8);
+    /// `true` if `v` has been hit by every BFS instance (Def. 3).
+    fn row_complete(&self, v: u32) -> bool;
+    /// Set `FIdentifier[v]` (the node becomes or stays a frontier).
+    fn mark_frontier(&self, v: u32);
+    /// `true` if `v` was identified as a Central Node.
+    fn is_central(&self, v: u32) -> bool;
+    /// Mark `v` as a Central Node identified at `depth`.
+    fn mark_central(&self, v: u32, depth: u8);
+    /// Cost-model hook: one `(frontier, instance)` work item passed the
+    /// gates and scans `degree` adjacency entries. Search storage ignores
+    /// it; [`crate::costmodel`] tallies it.
+    #[inline]
+    fn tally_work_item(&self, _degree: usize) {}
+}
+
+impl LevelStore for SearchState {
+    /// Racing writers store the same packed `(epoch, level)` word
+    /// (Theorem V.2), so a plain store suffices.
+    #[inline]
+    fn set_hit(&self, v: u32, i: usize, level: u8) {
+        self.matrix[v as usize * self.q + i].store(pack(self.epoch, level), Ordering::Relaxed);
+    }
+    #[inline]
+    fn row_complete(&self, v: u32) -> bool {
+        let base = v as usize * self.q;
+        self.matrix[base..base + self.q].iter().all(|m| {
+            unpack(m.load(Ordering::Relaxed), self.epoch, INFINITE_LEVEL) != INFINITE_LEVEL
+        })
+    }
+    #[inline]
+    fn mark_frontier(&self, v: u32) {
+        self.frontier[v as usize].store(pack(self.epoch, 1), Ordering::Relaxed);
+    }
+    #[inline]
+    fn is_central(&self, v: u32) -> bool {
+        unpack(self.central[v as usize].load(Ordering::Relaxed), self.epoch, 0) != 0
+    }
+    /// The node becomes unavailable for expansion from this level on.
+    #[inline]
+    fn mark_central(&self, v: u32, depth: u8) {
+        debug_assert!(depth < u8::MAX);
+        self.central[v as usize].store(pack(self.epoch, depth + 1), Ordering::Relaxed);
     }
 }
 

@@ -1,7 +1,7 @@
-//! The instrumented work counter (`central::costmodel`) replays the
-//! bottom-up search with its own loop; it must stay in lockstep with the
-//! real engines on arbitrary graphs — same central-node count, and work
-//! tallies consistent with the graph's size.
+//! The work counter (`central::costmodel`) runs the bottom-up search
+//! through the engines' own round driver; it must stay in lockstep with
+//! the real engines on arbitrary graphs — same central-node count, levels
+//! and frontiers, and work tallies consistent with the graph's size.
 
 use central::costmodel::count_work;
 use central::engine::{KeywordSearchEngine, SeqEngine};
@@ -52,6 +52,11 @@ proptest! {
         let work = count_work(&g, &query, &params);
         let out = SeqEngine::new().search(&g, &query, &params);
         prop_assert_eq!(work.central_nodes as usize, out.stats.central_candidates);
+        // The counter runs the engine's own loop: same levels, same
+        // frontiers.
+        prop_assert_eq!(work.levels, u32::from(out.stats.last_level));
+        let frontier_entries: u64 = out.stats.trace.iter().map(|l| l.frontier as u64).sum();
+        prop_assert_eq!(work.frontier_entries, frontier_entries);
         // Tallies are bounded by graph size × levels.
         let max_scans = (g.num_adjacency_entries() as u64)
             * (work.levels.max(1) as u64)
