@@ -55,7 +55,7 @@ use datagen::QueryWorkload;
 use eval::runner::ExperimentSink;
 use eval::Table;
 use serde_json::json;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wikisearch_engine::{Backend, WikiSearch};
@@ -671,14 +671,13 @@ const TELEMETRY_GUARD_MIN_RATIO: f64 = 0.98;
 
 /// [`volley`] with the telemetry surface in the loop: every query draws
 /// a fleet-wide qid and runs through the tagged entry point (feeding
-/// the recent-query ring), and each completion bumps the shared
-/// `served` counter the background sampler snapshots.
+/// the recent-query ring), and each completion bumps the registry's
+/// `served` counter, as `serve` does.
 fn volley_tagged(
     ws: &Arc<WikiSearch>,
     queries: &[String],
     clients: usize,
     per_client: usize,
-    served: &Arc<AtomicU64>,
 ) -> (f64, HistogramSnapshot) {
     let latency = LogHistogram::new();
     let params = ws.params().clone();
@@ -687,7 +686,6 @@ fn volley_tagged(
     std::thread::scope(|scope| {
         for client in 0..clients {
             let ws = Arc::clone(ws);
-            let served = Arc::clone(served);
             let (latency, params, budget) = (&latency, &params, &budget);
             scope.spawn(move || {
                 for j in 0..per_client {
@@ -697,7 +695,7 @@ fn volley_tagged(
                     let result = ws.try_search_with_params_tagged(q, params, budget, qid);
                     let us = started.elapsed().as_micros();
                     latency.record(u64::try_from(us).unwrap_or(u64::MAX));
-                    served.fetch_add(1, Ordering::Relaxed);
+                    ws.metrics().served.inc();
                     std::hint::black_box(result.map_or(0, |r| r.answers.len()));
                 }
             });
@@ -738,18 +736,16 @@ fn run_telemetry(
     let ws_on = Arc::new(ws_on);
 
     // The background sampler, exactly serve's shape: snapshot the full
-    // registry + served count into the ring at a fixed cadence, for the
-    // whole lifetime of the measured volleys.
+    // registry (served count included) into the ring at a fixed cadence,
+    // for the whole lifetime of the measured volleys.
     let stop = Arc::new(AtomicBool::new(false));
-    let served = Arc::new(AtomicU64::new(0));
     let sampler = {
-        let (ws, stop, served) = (Arc::clone(&ws_on), Arc::clone(&stop), Arc::clone(&served));
+        let (ws, stop) = (Arc::clone(&ws_on), Arc::clone(&stop));
         std::thread::spawn(move || {
             let start = Instant::now();
             while !stop.load(Ordering::Relaxed) {
                 ws.telemetry().record_sample(&TelemetrySample {
                     t_us: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    served: served.load(Ordering::Relaxed),
                     snapshot: ws.metrics_snapshot(),
                 });
                 std::thread::sleep(Duration::from_millis(TELEMETRY_SAMPLE_MS));
@@ -759,7 +755,7 @@ fn run_telemetry(
 
     // Warmup both arms (pools + page cache), then interleave A/B reps.
     volley(&ws_off, queries, clients, 2);
-    volley_tagged(&ws_on, queries, clients, clients.min(per_client), &served);
+    volley_tagged(&ws_on, queries, clients, clients.min(per_client));
     struct Rep {
         off_qps: f64,
         on_qps: f64,
@@ -770,7 +766,7 @@ fn run_telemetry(
     let mut reps: Vec<Rep> = Vec::new();
     for _ in 0..TELEMETRY_REPS {
         let (off_wall, off_latency) = volley(&ws_off, queries, clients, per_client);
-        let (on_wall, on_latency) = volley_tagged(&ws_on, queries, clients, per_client, &served);
+        let (on_wall, on_latency) = volley_tagged(&ws_on, queries, clients, per_client);
         reps.push(Rep {
             off_qps: total as f64 / off_wall,
             on_qps: total as f64 / on_wall,

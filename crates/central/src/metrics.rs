@@ -24,14 +24,17 @@
 //! monotone in `p`. With power-of-two buckets the relative error is at
 //! most 2×, which is the right resolution for p50/p95/p99 dashboards.
 //!
-//! The registry is fed by the engine facade (`wikisearch-engine`): one
+//! The registry is fed by the engine facade (`wikisearch-engine`) — one
 //! latency and one expansion observation per query, plus cache-hit/miss
-//! and budget-trip counters. The serving layer renders the snapshot as
-//! JSON (`STATS`) or Prometheus text exposition format (`METRICS`) via
-//! [`prometheus_counter`] / [`prometheus_histogram`].
+//! and budget-trip counters — and by the server's front end (responses
+//! served, connections shed, panics, oversized lines, slow queries).
+//! Every series is declared once, in the `registry!` table below, with
+//! the keys it shows on each surface; the serving layer walks
+//! [`COUNTERS`] and [`HISTOGRAMS`] to render JSON (`STATS`, `STATS
+//! WINDOW`, `TOP`) and Prometheus text (`METRICS`), and the telemetry
+//! ring walks them to flatten samples.
 
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of histogram buckets. Bucket 0 holds the value `0`; bucket
@@ -67,10 +70,10 @@ impl Counter {
         Counter(AtomicU64::new(0))
     }
 
-    /// Add one.
+    /// Add one; returns the new value.
     #[inline]
-    pub fn inc(&self) {
-        self.add(1);
+    pub fn inc(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Add `n`.
@@ -180,6 +183,20 @@ impl HistogramSnapshot {
         self.sum = self.sum.wrapping_add(other.sum);
     }
 
+    /// Bucket-wise difference from an older image of the same live
+    /// histogram. The counts are monotone, so the saturating subtraction
+    /// only engages if a torn pair slipped through — the delta stays
+    /// well-formed either way.
+    pub fn delta(&self, older: &HistogramSnapshot) -> HistogramSnapshot {
+        let at = |h: &HistogramSnapshot, i: usize| h.buckets.get(i).copied().unwrap_or(0);
+        let width = self.buckets.len().max(older.buckets.len());
+        HistogramSnapshot {
+            buckets: (0..width).map(|i| at(self, i).saturating_sub(at(older, i))).collect(),
+            count: self.count.saturating_sub(older.count),
+            sum: self.sum.saturating_sub(older.sum),
+        }
+    }
+
     /// The value at quantile `p ∈ [0, 1]`, reported as the upper bound of
     /// the bucket containing that rank (a conservative estimate: the true
     /// value is at most the reported one, and at least half of it).
@@ -210,132 +227,179 @@ impl HistogramSnapshot {
     }
 }
 
-/// The service-wide metrics registry: every counter and histogram the
-/// serving path feeds, behind relaxed atomics. One registry lives inside
-/// each `WikiSearch` engine; the `STATS` and `METRICS` protocol verbs are
-/// rendered from its [`MetricsRegistry::snapshot`].
-#[derive(Default)]
-pub struct MetricsRegistry {
-    /// Queries answered (cache hits and computed searches alike).
-    pub queries: Counter,
-    /// Queries answered from the result cache.
-    pub cache_hits: Counter,
-    /// Queries that missed the cache and ran the two-stage search.
-    pub cache_misses: Counter,
-    /// Queries aborted by their wall-clock deadline.
-    pub deadline_exceeded: Counter,
-    /// Queries aborted by their expansion cap.
-    pub budget_exhausted: Counter,
-    /// Queries refused because a remote shard was unreachable past its
-    /// retry budget and degraded answers were not allowed.
-    pub shard_unavailable: Counter,
-    /// End-to-end query latency in microseconds (successful queries).
-    pub latency_us: LogHistogram,
-    /// Expansion units per computed search (Algorithm 2 work items).
-    pub expansions: LogHistogram,
+/// How one registry counter appears on the serving surfaces.
+#[derive(Clone, Copy, Debug)]
+pub struct CounterSeries {
+    /// The counter's field in [`MetricsRegistry`] and [`MetricsSnapshot`],
+    /// and its key in `STATS WINDOW` and `TOP`.
+    pub name: &'static str,
+    /// `STATS` key paths: a bare key sits at the top level of the
+    /// document, an `engine.`-prefixed one inside its `engine` object.
+    pub stats: &'static [&'static str],
+    /// `METRICS` families as `(name, help)`. `ws_server_*` families are
+    /// exposed last, after every subsystem's families.
+    pub prometheus: &'static [(&'static str, &'static str)],
+    /// Reported by `STATS WINDOW`, as the count inside the window.
+    pub window: bool,
+    /// Reported by `TOP`.
+    pub top: bool,
 }
 
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
+impl CounterSeries {
+    /// On no surface: a table row names the surfaces it shows on.
+    const HIDDEN: CounterSeries =
+        CounterSeries { name: "", stats: &[], prometheus: &[], window: false, top: false };
+}
 
-    /// A plain-data image of every counter and histogram.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            queries: self.queries.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            deadline_exceeded: self.deadline_exceeded.get(),
-            budget_exhausted: self.budget_exhausted.get(),
-            shard_unavailable: self.shard_unavailable.get(),
-            latency_us: self.latency_us.snapshot(),
-            expansions: self.expansions.snapshot(),
+/// How one registry histogram appears on the serving surfaces.
+#[derive(Clone, Copy, Debug)]
+pub struct HistogramSeries {
+    /// Key of its percentile block in `STATS` and `STATS WINDOW`.
+    pub stats: &'static str,
+    /// The `METRICS` family as `(name, help)`.
+    pub prometheus: (&'static str, &'static str),
+    /// Observations are microseconds: `STATS` reports them in
+    /// milliseconds (`_ms` keys), `METRICS` in seconds.
+    pub micros: bool,
+}
+
+/// Generates [`MetricsRegistry`], [`MetricsSnapshot`], the [`COUNTERS`]
+/// and [`HISTOGRAMS`] tables and the per-series plumbing from one list
+/// of series. Declaration order is every surface's key order.
+macro_rules! registry {
+    (
+        counters { $( $(#[$cmeta:meta])* $c:ident { $($cf:ident: $cv:expr),* $(,)? } )* }
+        histograms { $( $(#[$hmeta:meta])* $h:ident { $($hf:ident: $hv:expr),* $(,)? } )* }
+    ) => {
+        /// The service-wide metrics registry: every counter and histogram
+        /// the serving path feeds, behind relaxed atomics. One registry
+        /// lives inside each `WikiSearch` engine; the server's diagnostic
+        /// verbs render its [`MetricsRegistry::snapshot`].
+        #[derive(Default)]
+        pub struct MetricsRegistry {
+            $( $(#[$cmeta])* pub $c: Counter, )*
+            $( $(#[$hmeta])* pub $h: LogHistogram, )*
         }
-    }
-}
 
-/// Serde-serializable image of a [`MetricsRegistry`].
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Queries answered (cache hits and computed searches alike).
-    pub queries: u64,
-    /// Queries answered from the result cache.
-    pub cache_hits: u64,
-    /// Queries that missed the cache and ran the two-stage search.
-    pub cache_misses: u64,
-    /// Queries aborted by their wall-clock deadline.
-    pub deadline_exceeded: u64,
-    /// Queries aborted by their expansion cap.
-    pub budget_exhausted: u64,
-    /// Queries refused because a remote shard was unreachable past its
-    /// retry budget and degraded answers were not allowed.
-    pub shard_unavailable: u64,
-    /// End-to-end query latency in microseconds.
-    pub latency_us: HistogramSnapshot,
-    /// Expansion units per computed search.
-    pub expansions: HistogramSnapshot,
-}
-
-/// Append one Prometheus counter series (`# HELP` / `# TYPE` / sample).
-/// Metric names must match `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-pub fn prometheus_counter(out: &mut String, name: &str, help: &str, value: u64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name} {value}");
-}
-
-/// Append one Prometheus gauge series.
-pub fn prometheus_gauge(out: &mut String, name: &str, help: &str, value: f64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {value}");
-}
-
-/// Append one Prometheus gauge family with one labelled sample per entry.
-/// Each entry is a `(label-body, value)` pair; the label body goes inside
-/// the braces verbatim (e.g. `shard="0"`), so callers are responsible for
-/// escaping label values.
-pub fn prometheus_labeled_gauge(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    samples: &[(String, f64)],
-) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    for (labels, value) in samples {
-        let _ = writeln!(out, "{name}{{{labels}}} {value}");
-    }
-}
-
-/// Append one Prometheus histogram series in text exposition format:
-/// cumulative `_bucket{le="…"}` samples (only buckets that received
-/// observations, plus the mandatory `le="+Inf"`), `_sum`, and `_count`.
-/// Observed values are multiplied by `scale` (e.g. `1e-6` to expose
-/// microsecond observations in seconds, the Prometheus base unit).
-pub fn prometheus_histogram(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    h: &HistogramSnapshot,
-    scale: f64,
-) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let mut cumulative = 0u64;
-    for (i, &c) in h.buckets.iter().enumerate() {
-        if c == 0 || i >= BUCKETS - 1 {
-            continue; // the unbounded last bucket folds into +Inf
+        /// Serde-serializable image of a [`MetricsRegistry`].
+        #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct MetricsSnapshot {
+            $( $(#[$cmeta])* pub $c: u64, )*
+            $( $(#[$hmeta])* pub $h: HistogramSnapshot, )*
         }
-        cumulative += c;
-        let le = bucket_upper_bound(i) as f64 * scale;
-        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+
+        /// Every registry counter's surfaces, in declaration order.
+        #[allow(clippy::needless_update)] // a row may set every field
+        pub const COUNTERS: &[CounterSeries] = &[$(CounterSeries {
+            name: stringify!($c),
+            $($cf: $cv,)*
+            ..CounterSeries::HIDDEN
+        }),*];
+
+        /// Every registry histogram's surfaces, in declaration order.
+        pub const HISTOGRAMS: &[HistogramSeries] =
+            &[$(HistogramSeries { $($hf: $hv),* }),*];
+
+        impl MetricsRegistry {
+            /// An empty registry.
+            pub fn new() -> Self {
+                Self::default()
+            }
+
+            /// A plain-data image of every counter and histogram.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot { $($c: self.$c.get(),)* $($h: self.$h.snapshot(),)* }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Counter values, parallel to [`COUNTERS`].
+            pub fn counters(&self) -> [u64; COUNTERS.len()] {
+                [$(self.$c),*]
+            }
+
+            /// Histogram images, parallel to [`HISTOGRAMS`].
+            pub fn histograms(&self) -> [&HistogramSnapshot; HISTOGRAMS.len()] {
+                [$(&self.$h),*]
+            }
+
+            /// Rebuild from values parallel to [`COUNTERS`] and [`HISTOGRAMS`].
+            pub fn from_series(
+                counters: [u64; COUNTERS.len()],
+                histograms: [HistogramSnapshot; HISTOGRAMS.len()],
+            ) -> Self {
+                let [$($c),*] = counters;
+                let [$($h),*] = histograms;
+                MetricsSnapshot { $($c,)* $($h,)* }
+            }
+
+            /// What the registry recorded between `older` and `self`, two
+            /// images of the same live registry.
+            pub fn delta(&self, older: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($c: self.$c.saturating_sub(older.$c),)*
+                    $($h: self.$h.delta(&older.$h),)*
+                }
+            }
+        }
+    };
+}
+
+// Row order is wire order on every surface (pinned by the serving
+// layer's golden captures), which is why server and engine counters
+// interleave.
+registry! {
+    counters {
+        /// Queries answered (cache hits and computed searches alike).
+        queries { stats: &["engine.queries"], window: true,
+            prometheus: &[("ws_queries_total", "Queries answered by the engine.")] }
+        /// Successful query responses (what `serve --max-requests` counts).
+        served { stats: &["served"], window: true, top: true,
+            prometheus: &[("ws_server_served_total", "Successful query responses.")] }
+        /// Connections refused because the server's worker queue was full.
+        shed { stats: &["shed"], prometheus: &[("ws_server_shed_total",
+            "Connections refused because the worker queue was full.")] }
+        /// Queries answered from the result cache.
+        cache_hits { stats: &["engine.cache_hits"], window: true,
+            prometheus: &[("ws_cache_hits_total", "Queries answered from the result cache.")] }
+        /// Queries that missed the cache and ran the two-stage search.
+        cache_misses { stats: &["engine.cache_misses"], window: true, prometheus: &[(
+            "ws_cache_misses_total", "Queries that missed the result cache and ran a search.")] }
+        /// Queries aborted by their wall-clock deadline.
+        deadline_exceeded { stats: &["engine.deadline_exceeded", "timeouts"], window: true,
+            prometheus: &[("ws_deadline_exceeded_total",
+                "Queries aborted by their wall-clock deadline.")] }
+        /// Queries aborted by their expansion cap.
+        budget_exhausted { stats: &["engine.budget_exhausted", "budget_exhausted"], window: true,
+            prometheus: &[("ws_budget_exhausted_total",
+                "Queries aborted by their expansion cap.")] }
+        /// Queries that panicked (their sessions were quarantined).
+        panics { stats: &["panics"], prometheus: &[("ws_server_panics_total",
+            "Queries that panicked (sessions quarantined).")] }
+        /// Request lines rejected for exceeding the server's size cap.
+        oversized { stats: &["oversized"], prometheus: &[("ws_server_oversized_total",
+            "Request lines rejected for exceeding the size cap.")] }
+        /// Queries at or over the server's slow-query threshold (logged).
+        slow_queries { stats: &["slow_queries"], prometheus: &[("ws_server_slow_queries_total",
+            "Queries at or over the slow-query threshold.")] }
+        /// Queries refused because a remote shard was unreachable past its
+        /// retry budget and degraded answers were not allowed.
+        shard_unavailable { stats: &["engine.shard_unavailable", "shard_unavailable"], window: true,
+            prometheus: &[
+                ("ws_shard_unavailable_total",
+                    "Queries refused because a remote shard was unreachable."),
+                ("ws_server_shard_unavailable_total",
+                    "Queries refused at the server because a remote shard was down."),
+            ] }
     }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-    let _ = writeln!(out, "{name}_sum {}", h.sum as f64 * scale);
-    let _ = writeln!(out, "{name}_count {}", h.count);
+    histograms {
+        /// End-to-end query latency in microseconds (successful queries).
+        latency_us { stats: "latency", micros: true,
+            prometheus: ("ws_latency_seconds", "End-to-end query latency (successful queries).") }
+        /// Expansion units per computed search (Algorithm 2 work items).
+        expansions { stats: "expansions", micros: false,
+            prometheus: ("ws_expansions", "Expansion units per computed search.") }
+    }
 }
 
 #[cfg(test)]
@@ -445,28 +509,6 @@ mod tests {
         assert_eq!(back, snap);
         assert_eq!(back.queries, 3);
         assert_eq!(back.latency_us.count, 1);
-    }
-
-    #[test]
-    fn prometheus_rendering_is_wellformed() {
-        let h = LogHistogram::new();
-        h.record(1500);
-        h.record(3000);
-        let mut out = String::new();
-        prometheus_counter(&mut out, "ws_queries_total", "Queries served.", 2);
-        prometheus_histogram(&mut out, "ws_latency_seconds", "Query latency.", &h.snapshot(), 1e-6);
-        assert!(out.contains("# TYPE ws_queries_total counter"));
-        assert!(out.contains("ws_queries_total 2"));
-        assert!(out.contains("# TYPE ws_latency_seconds histogram"));
-        assert!(out.contains("ws_latency_seconds_bucket{le=\"+Inf\"} 2"));
-        assert!(out.contains("ws_latency_seconds_count 2"));
-        // Cumulative bucket counts never decrease.
-        let mut last = 0u64;
-        for line in out.lines().filter(|l| l.contains("_bucket")) {
-            let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-            assert!(v >= last, "{line}");
-            last = v;
-        }
     }
 
     #[test]

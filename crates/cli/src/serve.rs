@@ -11,9 +11,9 @@
 //! * `PING` → `PONG`;
 //! * `STATS` → one JSON line with serving counters: queries served, the
 //!   fault/overload counters (`shed`, `timeouts`, `budget_exhausted`,
-//!   `panics`, `oversized`, `slow_queries`), the engine's metrics
-//!   counters, latency and expansion percentiles from the metrics
-//!   histograms, the session-pool snapshot, the result-cache
+//!   `panics`, `oversized`, `slow_queries`, `shard_unavailable`), the
+//!   engine's metrics counters, latency and expansion percentiles from
+//!   the metrics histograms, the session-pool snapshot, the result-cache
 //!   snapshot (`null` when the cache is disabled), the
 //!   shard-coordinator snapshot (`null` when serving unsharded), and a
 //!   `telemetry` object (sampler state, in-flight gauge, query IDs
@@ -63,6 +63,10 @@
 //!   hard [`MAX_LINE`] cap; an over-long line is answered with an error
 //!   and discarded up to its newline, so the connection stays usable and
 //!   memory stays bounded.
+//! * **Bounded writes** — a response write that makes no progress for
+//!   [`WRITE_DEADLINE`] (a client that pipelines requests but never reads
+//!   its answers) closes that connection, so its worker moves on to the
+//!   next one and a drain never waits on it.
 //!
 //! Connections are handled by a bounded worker pool (`--workers N`,
 //! default 4): all workers share one `Arc<WikiSearch>`, so inter-query
@@ -119,6 +123,16 @@
 //! engine), so turning it on is observably free apart from the trace
 //! allocations.
 //!
+//! ## Metrics
+//!
+//! Every counter and histogram the diagnostic verbs report lives in the
+//! engine's one `central::metrics` registry — the engine's query
+//! counters and the server's own (`served`, `shed`, `panics`,
+//! `oversized`, `slow_queries`) alike — and is declared once there with
+//! its keys on every surface. Each diagnostic request reads the live
+//! state once into a [`Capture`], and `STATS`, `STATS WINDOW`, `TOP` and
+//! `METRICS` are pure renderers of it.
+//!
 //! ## Windowed telemetry
 //!
 //! A background sampler publishes one snapshot of the metrics registry
@@ -161,29 +175,22 @@
 //! `--rpc-retries` and `--heartbeat-ms` tune the supervision knobs.
 //! `STATS` gains a `remote` object and `METRICS` gains `ws_remote_*`
 //! series while remote serving is on.
-//!
-//! ## Async connection multiplexing
-//!
-//! `--async-io true` (default off) swaps the connection-per-worker model
-//! for a readiness-polled multiplexer: parked connections are owned by a
-//! muxer thread that polls them (`TcpStream::peek`) and dispatches only
-//! *ready* ones to the bounded worker pool, one request at a time, so an
-//! idle connection costs a socket — not a pinned worker thread. The
-//! protocol, counters, shedding and drain semantics are unchanged.
 
 use crate::args::ParsedArgs;
-use central::metrics::{
-    prometheus_counter, prometheus_gauge, prometheus_histogram, prometheus_labeled_gauge,
-};
+use central::metrics::{bucket_upper_bound, BUCKETS, COUNTERS, HISTOGRAMS};
+use central::remote::BreakerState;
 use central::{
-    PhaseMillis, QueryBudget, QueryTrace, RemoteOptions, SearchError, StaticAddrs, TelemetrySample,
-    TraceLevel,
+    BatchStats, CacheStats, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, PhaseMillis,
+    PoolStats, QueryBudget, QueryTrace, RemoteOptions, RemoteStats, ShardedStats, StaticAddrs,
+    TelemetrySample, TraceLevel, WindowDelta,
 };
 use parking_lot::Mutex;
+use serde_json::{json, Value};
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -192,34 +199,20 @@ use wikisearch_engine::{Backend, WikiSearch, DEFAULT_TELEMETRY_SAMPLES};
 /// How often a blocked worker wakes up to check for drain.
 const DRAIN_POLL: Duration = Duration::from_millis(50);
 
+/// How long one socket write may make no progress before it fails and
+/// the connection is closed: a client that stops reading its answers
+/// must not pin a worker (or the drain, which joins every worker)
+/// forever. A stalled response can still take a few deadlines to fail
+/// when the peer's kernel frees buffer space in bursts.
+const WRITE_DEADLINE: Duration = Duration::from_secs(2);
+
+/// The window `TOP` reports its rates over, in seconds.
+const TOP_WINDOW_S: u64 = 10;
+
 /// Hard cap on one request line (bytes, newline excluded). Long enough
 /// for any sane keyword query; short enough that a hostile client cannot
 /// grow a worker's buffer without bound.
 pub(crate) const MAX_LINE: usize = 64 * 1024;
-
-/// Serving counters beyond the pool/cache snapshots, all surfaced on the
-/// `STATS` line.
-#[derive(Default)]
-struct ServeCounters {
-    /// Successful query responses (what `--max-requests` counts).
-    served: AtomicUsize,
-    /// Connections refused with `overloaded` because the worker queue was
-    /// full.
-    shed: AtomicU64,
-    /// Queries answered with `deadline_exceeded`.
-    timeouts: AtomicU64,
-    /// Queries answered with `budget_exhausted`.
-    budget_exhausted: AtomicU64,
-    /// Queries that panicked (their sessions were quarantined).
-    panics: AtomicU64,
-    /// Request lines rejected for exceeding [`MAX_LINE`].
-    oversized: AtomicU64,
-    /// Queries at or over the `--slow-query-ms` threshold (logged).
-    slow_queries: AtomicU64,
-    /// Queries refused with `shard_unavailable` (remote serving, a shard
-    /// down past its retry budget, degraded answers not allowed).
-    shard_unavailable: AtomicU64,
-}
 
 /// The armed slow-query log: a threshold and an append-mode file handle.
 struct SlowLog {
@@ -248,16 +241,16 @@ impl SlowLog {
     }
 
     /// Append one line for `answer` if it crossed the threshold.
-    fn maybe_log(&self, q: &str, answer: &Answer, counters: &ServeCounters) {
+    fn maybe_log(&self, q: &str, answer: &Answer, metrics: &MetricsRegistry) {
         if answer.wall_ms < self.threshold_ms as f64 {
             return;
         }
-        counters.slow_queries.fetch_add(1, Ordering::SeqCst);
+        metrics.slow_queries.inc();
         let ts_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
-        let doc = serde_json::json!({
+        let doc = json!({
             "ts_ms": ts_ms,
             "qid": answer.qid,
             "query": q,
@@ -289,7 +282,6 @@ struct ServeInfo {
 /// across the pool.
 struct Shared<'a> {
     ws: &'a WikiSearch,
-    counters: &'a ServeCounters,
     budget: QueryBudget,
     max_requests: usize,
     draining: &'a AtomicBool,
@@ -326,7 +318,6 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         "shards",
         "batch-window-us",
         "batch-max",
-        "async-io",
         "shard-workers",
         "shard-addr",
         "degraded-answers",
@@ -352,7 +343,6 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     };
     let batch_window_us: u64 = args.get_or("batch-window-us", 0)?;
     let batch_max: usize = args.get_or("batch-max", 16)?;
-    let async_io: bool = args.get_or("async-io", false)?;
     let shard_workers: usize = args.get_or("shard-workers", 0)?;
     let shard_addr = args.optional("shard-addr");
     let degraded_answers: bool = args.get_or("degraded-answers", false)?;
@@ -492,18 +482,15 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     } else {
         String::new()
     };
-    let frontend = if async_io { ", async-io" } else { "" };
     writeln!(
         out,
         "wikisearch serving on 127.0.0.1:{} ({} nodes indexed, {workers} \
-         workers{sharding}{backing}{batching}{frontend})",
+         workers{sharding}{backing}{batching})",
         addr.port(),
         ws.graph().num_nodes()
     )
     .map_err(|e| e.to_string())?;
 
-    let counters_arc = Arc::new(ServeCounters::default());
-    let counters = Arc::clone(&counters_arc);
     let draining = AtomicBool::new(false);
     // The background sampler: one metrics snapshot per interval into the
     // telemetry ring, entirely off the query path. It stops (promptly —
@@ -511,13 +498,11 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let sampler_stop = Arc::new(AtomicBool::new(false));
     let sampler = (telemetry_interval_ms > 0).then(|| {
         let ws = Arc::clone(&ws);
-        let counters = Arc::clone(&counters);
         let stop = Arc::clone(&sampler_stop);
-        std::thread::spawn(move || run_sampler(&ws, &counters, &stop))
+        std::thread::spawn(move || run_sampler(&ws, &stop))
     });
     let shared = Shared {
         ws: &ws,
-        counters: &counters_arc,
         budget,
         max_requests,
         draining: &draining,
@@ -531,11 +516,7 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
             started: Instant::now(),
         },
     };
-    let accept_error = if async_io {
-        serve_async(&listener, &shared, workers, max_queue)
-    } else {
-        serve_sync(&listener, &shared, workers, max_queue)
-    };
+    let accept_error = accept_loop(&listener, &shared, workers, max_queue);
 
     sampler_stop.store(true, Ordering::SeqCst);
     if let Some(handle) = sampler {
@@ -544,23 +525,22 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     if let Some(e) = accept_error {
         return Err(e);
     }
-    writeln!(out, "served {} queries, shutting down", counters.served.load(Ordering::SeqCst))
+    writeln!(out, "served {} queries, shutting down", ws.metrics().served.get())
         .map_err(|e| e.to_string())
 }
 
 /// The background sampler loop: publish one [`TelemetrySample`] (a
-/// monotonic timestamp, the served counter, and the full metrics
-/// snapshot) per `--telemetry-interval-ms` into the engine's telemetry
-/// ring. Sleeps in [`DRAIN_POLL`] ticks so shutdown never waits out a
-/// long interval; publishes a boot sample immediately so `STATS WINDOW`
-/// has a subtraction base one interval in.
-fn run_sampler(ws: &WikiSearch, counters: &ServeCounters, stop: &AtomicBool) {
+/// monotonic timestamp and the full metrics snapshot) per
+/// `--telemetry-interval-ms` into the engine's telemetry ring. Sleeps in
+/// [`DRAIN_POLL`] ticks so shutdown never waits out a long interval;
+/// publishes a boot sample immediately so `STATS WINDOW` has a
+/// subtraction base one interval in.
+fn run_sampler(ws: &WikiSearch, stop: &AtomicBool) {
     let telemetry = ws.telemetry();
     let interval = Duration::from_millis(telemetry.interval_ms.max(1));
     let started = Instant::now();
     let sample = || TelemetrySample {
         t_us: started.elapsed().as_micros() as u64,
-        served: counters.served.load(Ordering::SeqCst) as u64,
         snapshot: ws.metrics_snapshot(),
     };
     telemetry.record_sample(&sample());
@@ -575,9 +555,9 @@ fn run_sampler(ws: &WikiSearch, counters: &ServeCounters, stop: &AtomicBool) {
     }
 }
 
-/// The connection-per-worker serving loop: each accepted connection is
-/// owned by one worker until its peer quits or the server drains.
-fn serve_sync(
+/// The serving loop: each accepted connection is owned by one worker
+/// until its peer quits or the server drains.
+fn accept_loop(
     listener: &TcpListener,
     shared: &Shared<'_>,
     workers: usize,
@@ -617,7 +597,7 @@ fn serve_sync(
             };
             match tx.try_send(stream) {
                 Ok(()) => {}
-                Err(TrySendError::Full(stream)) => shed(stream, shared.counters),
+                Err(TrySendError::Full(stream)) => shed(stream, shared.ws.metrics()),
                 Err(TrySendError::Disconnected(_)) => break,
             }
         }
@@ -628,170 +608,11 @@ fn serve_sync(
     accept_error
 }
 
-/// One multiplexed connection: the buffered reader travels with the
-/// socket, so request bytes a worker buffered but did not consume are
-/// still there when the muxer re-dispatches the connection.
-struct MuxConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-/// What the muxer's readiness probe saw on a parked connection.
-enum Readiness {
-    /// Bytes are waiting (buffered or on the socket) — dispatch it.
-    Ready,
-    /// Nothing to read; keep it parked. Costs one `peek`, not a thread.
-    Idle,
-    /// EOF or a socket error — drop the connection.
-    Gone,
-}
-
-/// Non-blocking readiness probe: buffered bytes count as ready (a
-/// pipelined request may already sit in the `BufReader`), otherwise one
-/// `peek` asks the socket without consuming anything.
-fn readiness(conn: &mut MuxConn) -> Readiness {
-    if !conn.reader.buffer().is_empty() {
-        return Readiness::Ready;
-    }
-    let mut probe = [0u8; 1];
-    match conn.writer.peek(&mut probe) {
-        Ok(0) => Readiness::Gone,
-        Ok(_) => Readiness::Ready,
-        Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-            Readiness::Idle
-        }
-        Err(_) => Readiness::Gone,
-    }
-}
-
-/// How often the muxer sweeps its parked connections for readiness.
-const MUX_POLL: Duration = Duration::from_millis(1);
-
-/// The readiness-polled serving loop (`--async-io true`): a muxer thread
-/// owns every parked connection and hands only *ready* ones to the
-/// bounded worker pool, one request per dispatch, so idle connections
-/// never pin a worker. Workers return the connection to the muxer after
-/// answering (unless the peer quit or the server is done).
-fn serve_async(
-    listener: &TcpListener,
-    shared: &Shared<'_>,
-    workers: usize,
-    max_queue: usize,
-) -> Option<String> {
-    // park_tx: acceptor + workers hand connections (back) to the muxer.
-    // ready_tx: the muxer hands ready connections to the workers; bounded
-    // so a request flood applies backpressure at the muxer, which sheds.
-    let (park_tx, park_rx) = mpsc::channel::<MuxConn>();
-    let (ready_tx, ready_rx) = mpsc::sync_channel::<MuxConn>(max_queue);
-    let ready_rx = Mutex::new(ready_rx);
-    let mut accept_error = None;
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let ready_rx = &ready_rx;
-            let park_tx = park_tx.clone();
-            scope.spawn(move || loop {
-                let next = ready_rx.lock().recv();
-                let Ok(mut conn) = next else { break };
-                // Blocking-with-timeout while the worker owns it: the
-                // request's bytes are (at least partially) there, and the
-                // timeout keeps a trickling client from pinning the
-                // worker through a drain.
-                let _ = conn.writer.set_nonblocking(false);
-                let _ = conn.writer.set_read_timeout(Some(DRAIN_POLL));
-                match serve_one_request(&mut conn.reader, &mut conn.writer, shared) {
-                    Served::Continue => {
-                        let _ = conn.writer.set_nonblocking(true);
-                        // A muxer that already exited drops the
-                        // connection here — drain semantics.
-                        let _ = park_tx.send(conn);
-                    }
-                    Served::Close => {}
-                }
-            });
-        }
-
-        // The muxer: sweep parked connections, dispatch the ready ones.
-        scope.spawn(move || {
-            let mut parked: Vec<MuxConn> = Vec::new();
-            let mut acceptor_done = false;
-            loop {
-                loop {
-                    match park_rx.try_recv() {
-                        Ok(conn) => parked.push(conn),
-                        Err(mpsc::TryRecvError::Empty) => break,
-                        Err(mpsc::TryRecvError::Disconnected) => {
-                            acceptor_done = true;
-                            break;
-                        }
-                    }
-                }
-                if shared.draining.load(Ordering::SeqCst) || acceptor_done {
-                    // Drain: parked (idle) connections are dropped; the
-                    // closing ready channel lets workers finish and exit.
-                    break;
-                }
-                let mut still_parked = Vec::with_capacity(parked.len());
-                for mut conn in parked.drain(..) {
-                    match readiness(&mut conn) {
-                        Readiness::Ready => match ready_tx.try_send(conn) {
-                            Ok(()) => {}
-                            // Every worker busy and the queue full: the
-                            // connection stays parked and is retried next
-                            // sweep — existing peers are never shed.
-                            Err(TrySendError::Full(conn)) => still_parked.push(conn),
-                            Err(TrySendError::Disconnected(_)) => {}
-                        },
-                        Readiness::Idle => still_parked.push(conn),
-                        Readiness::Gone => {}
-                    }
-                }
-                parked = still_parked;
-                std::thread::sleep(MUX_POLL);
-            }
-            drop(ready_tx);
-        });
-
-        for stream in listener.incoming() {
-            if shared.draining.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(e) => {
-                    accept_error = Some(format!("accept: {e}"));
-                    break;
-                }
-            };
-            let Ok(peer) = stream.try_clone() else {
-                continue;
-            };
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            // New connections park first; the muxer dispatches them on
-            // their first request bytes. An unbounded park queue is safe:
-            // each entry is an accepted socket, bounded by the OS.
-            let conn = MuxConn { reader: BufReader::new(peer), writer: stream };
-            if park_tx.send(conn).is_err() {
-                break;
-            }
-        }
-        // The acceptor is gone (drain or accept error) — flip the drain
-        // flag so the muxer's next sweep shuts the pipeline down even on
-        // the error path, where no query ever flipped it.
-        shared.draining.store(true, Ordering::SeqCst);
-        shared.ws.flush_batches();
-        drop(park_tx);
-    });
-    accept_error
-}
-
 /// Refuse one connection because every worker is busy and the queue is
 /// full: one `overloaded` line, then close. The client learns
 /// immediately instead of waiting in an unbounded backlog.
-fn shed(mut stream: TcpStream, counters: &ServeCounters) {
-    counters.shed.fetch_add(1, Ordering::SeqCst);
+fn shed(mut stream: TcpStream, metrics: &MetricsRegistry) {
+    metrics.shed.inc();
     let _ =
         writeln!(stream, r#"{{"error":"overloaded","detail":"request queue full, retry later"}}"#);
 }
@@ -812,19 +633,17 @@ enum LineRead {
 /// Reads through the connection's [`DRAIN_POLL`] timeout (so a worker
 /// notices a drain while its client idles) and enforces [`MAX_LINE`]
 /// *during* accumulation — a client streaming an endless line costs a
-/// bounded buffer, not memory proportional to what it sends.
+/// bounded buffer, not memory proportional to what it sends: past the
+/// cap, bytes are dropped up to the newline so the next request starts
+/// clean.
 fn read_request_line(reader: &mut BufReader<TcpStream>, draining: &AtomicBool) -> LineRead {
     let mut buf: Vec<u8> = Vec::new();
+    let mut oversized = false;
     loop {
         let available = match reader.fill_buf() {
-            Ok([]) => {
-                // EOF: a non-empty unterminated tail still gets answered.
-                return if buf.is_empty() {
-                    LineRead::Closed
-                } else {
-                    LineRead::Line(buf)
-                };
-            }
+            // EOF: a non-empty unterminated tail still gets answered.
+            Ok([]) if buf.is_empty() || oversized => return LineRead::Closed,
+            Ok([]) => return LineRead::Line(buf),
             Ok(bytes) => bytes,
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 if draining.load(Ordering::SeqCst) {
@@ -834,52 +653,19 @@ fn read_request_line(reader: &mut BufReader<TcpStream>, draining: &AtomicBool) -
             }
             Err(_) => return LineRead::Closed,
         };
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                buf.extend_from_slice(&available[..pos]);
-                reader.consume(pos + 1);
-                if buf.len() > MAX_LINE {
-                    return LineRead::Oversized;
-                }
-                return LineRead::Line(buf);
-            }
-            None => {
-                let n = available.len();
-                buf.extend_from_slice(available);
-                reader.consume(n);
-                if buf.len() > MAX_LINE {
-                    return discard_rest_of_line(reader, draining);
-                }
-            }
+        let newline = available.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(available.len());
+        if !oversized {
+            buf.extend_from_slice(&available[..take]);
+            oversized = buf.len() > MAX_LINE;
         }
-    }
-}
-
-/// The line already blew the cap: drop bytes until its newline so the
-/// next request starts clean. Returns [`LineRead::Oversized`] once
-/// resynchronized, [`LineRead::Closed`] if the peer goes away first.
-fn discard_rest_of_line(reader: &mut BufReader<TcpStream>, draining: &AtomicBool) -> LineRead {
-    loop {
-        let available = match reader.fill_buf() {
-            Ok([]) => return LineRead::Closed,
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if draining.load(Ordering::SeqCst) {
-                    return LineRead::Closed;
-                }
-                continue;
-            }
-            Err(_) => return LineRead::Closed,
-        };
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                reader.consume(pos + 1);
-                return LineRead::Oversized;
-            }
-            None => {
-                let n = available.len();
-                reader.consume(n);
-            }
+        reader.consume(take + usize::from(newline.is_some()));
+        if newline.is_some() {
+            return if oversized {
+                LineRead::Oversized
+            } else {
+                LineRead::Line(buf)
+            };
         }
     }
 }
@@ -894,11 +680,14 @@ enum Served {
 }
 
 /// Serve one connection until the peer quits, hangs up, or the server
-/// drains — the connection-per-worker loop of the sync front end.
+/// drains.
 fn handle_connection(stream: TcpStream, shared: &Shared<'_>) {
     // A finite read timeout lets the worker notice a drain even while its
-    // client sits idle on an open connection.
+    // client sits idle on an open connection; a finite write timeout
+    // turns a client that never reads into a failed write (and a closed
+    // connection) instead of a worker blocked forever.
     let _ = stream.set_read_timeout(Some(DRAIN_POLL));
+    let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
     let Ok(peer) = stream.try_clone() else {
         return;
     };
@@ -916,118 +705,94 @@ fn serve_one_request(
     writer: &mut TcpStream,
     shared: &Shared<'_>,
 ) -> Served {
+    let ws = shared.ws;
     let raw = match read_request_line(reader, shared.draining) {
         LineRead::Line(raw) => raw,
         LineRead::Oversized => {
-            shared.counters.oversized.fetch_add(1, Ordering::SeqCst);
+            ws.metrics().oversized.inc();
             let doc = format!(
                 r#"{{"error":"oversized line","detail":"request lines are capped at {MAX_LINE} bytes"}}"#
             );
-            return if writeln!(writer, "{doc}").is_err() {
-                Served::Close
-            } else {
-                Served::Continue
-            };
+            return keep_serving(writeln!(writer, "{doc}"), false);
         }
         LineRead::Closed => return Served::Close,
     };
     let Ok(line) = String::from_utf8(raw) else {
-        return if writeln!(writer, r#"{{"error":"invalid utf-8"}}"#).is_err() {
-            Served::Close
-        } else {
-            Served::Continue
-        };
+        return keep_serving(writeln!(writer, r#"{{"error":"invalid utf-8"}}"#), false);
     };
     let request = line.trim();
     if request.eq_ignore_ascii_case("QUIT") {
         return Served::Close;
     }
+    let capture = |window_s| Capture::take(ws, shared.supervisor, &shared.info, window_s);
     let mut done = false;
-    if request.eq_ignore_ascii_case("PING") {
-        if writeln!(writer, "PONG").is_err() {
-            return Served::Close;
-        }
+    let written = if request.eq_ignore_ascii_case("PING") {
+        writeln!(writer, "PONG")
     } else if request.eq_ignore_ascii_case("STATS") {
-        let doc = stats_snapshot(shared.ws, shared.counters, shared.supervisor);
-        if writeln!(writer, "{doc}").is_err() {
-            return Served::Close;
-        }
+        writeln!(writer, "{}", stats_document(&capture(None)))
     } else if request.eq_ignore_ascii_case("TOP") {
-        let doc = top_snapshot(shared.ws, shared.counters);
-        if writeln!(writer, "{doc}").is_err() {
-            return Served::Close;
-        }
+        writeln!(writer, "{}", top_document(&capture(Some(TOP_WINDOW_S))))
     } else if let Some(rest) = verb_rest(request, "STATS") {
         // Plain `STATS` matched above; this is `STATS <something>` —
         // only `STATS WINDOW <seconds>` is in the grammar.
         let doc = match stats_window_seconds(rest) {
-            Ok(secs) => stats_window(shared.ws, secs),
-            Err(msg) => serde_json::json!({ "error": msg }),
+            Ok(secs) => window_document(&capture(Some(secs)), secs),
+            Err(msg) => json!({ "error": msg }),
         };
-        if writeln!(writer, "{doc}").is_err() {
-            return Served::Close;
-        }
+        writeln!(writer, "{doc}")
     } else if request.eq_ignore_ascii_case("METRICS") {
-        let text = metrics_exposition(shared.ws, shared.counters, &shared.info);
-        if writer.write_all(text.as_bytes()).is_err() {
-            return Served::Close;
-        }
-    } else if let Some(keywords) = verb_rest(request, "EXPLAIN") {
+        writer.write_all(metrics_exposition(&capture(None)).as_bytes())
+    } else if let Some((keywords, mode)) = verb_rest(request, "EXPLAIN")
+        .map(|k| (k, Mode::Explain))
+        .or_else(|| query_keywords(request).map(|k| (k, Mode::Query)))
+    {
         if keywords.is_empty() {
-            if writeln!(writer, r#"{{"error":"empty query"}}"#).is_err() {
-                return Served::Close;
-            }
-        } else {
-            let qid = shared.ws.issue_query_id();
-            let doc = explain_query(shared.ws, keywords, &shared.budget, shared.counters, qid);
-            if writeln!(writer, "{doc}").is_err() {
-                return Served::Close;
-            }
-        }
-    } else if let Some(keywords) = query_keywords(request) {
-        if keywords.is_empty() {
-            if writeln!(writer, r#"{{"error":"empty query"}}"#).is_err() {
-                return Served::Close;
-            }
+            writeln!(writer, r#"{{"error":"empty query"}}"#)
         } else {
             // Admission: the query's fleet-wide ID is allocated before
             // anything can fail, so even error documents carry it.
-            let qid = shared.ws.issue_query_id();
-            let traced = shared.slow.as_ref().is_some_and(|s| s.traced);
-            let answer =
-                answer_query(shared.ws, keywords, &shared.budget, shared.counters, traced, qid);
-            if let Some(slow) = &shared.slow {
-                slow.maybe_log(keywords, &answer, shared.counters);
-            }
-            if answer.succeeded {
-                let n = shared.counters.served.fetch_add(1, Ordering::SeqCst) + 1;
-                if shared.max_requests > 0
-                    && n >= shared.max_requests
-                    && !shared.draining.swap(true, Ordering::SeqCst)
-                {
-                    // Close any open batch window so co-batched peers get
-                    // their answers now instead of waiting out the timer,
-                    // then wake the acceptor blocked in accept() so it can
-                    // observe the drain; the throwaway connection is
-                    // dropped by whichever worker receives it.
-                    shared.ws.flush_batches();
-                    let _ = TcpStream::connect(shared.addr);
-                    done = true;
+            let qid = ws.issue_query_id();
+            let mode = match &shared.slow {
+                Some(slow) if slow.traced && mode == Mode::Query => Mode::TracedQuery,
+                _ => mode,
+            };
+            let answer = answer_query(ws, keywords, &shared.budget, mode, qid);
+            if mode != Mode::Explain {
+                if let Some(slow) = &shared.slow {
+                    slow.maybe_log(keywords, &answer, ws.metrics());
+                }
+                if answer.succeeded {
+                    let n = ws.metrics().served.inc() as usize;
+                    if shared.max_requests > 0
+                        && n >= shared.max_requests
+                        && !shared.draining.swap(true, Ordering::SeqCst)
+                    {
+                        // Close any open batch window so co-batched peers
+                        // get their answers now instead of waiting out the
+                        // timer, then wake the acceptor blocked in
+                        // accept() so it can observe the drain; the
+                        // throwaway connection is dropped by whichever
+                        // worker receives it.
+                        ws.flush_batches();
+                        let _ = TcpStream::connect(shared.addr);
+                        done = true;
+                    }
                 }
             }
-            if writeln!(writer, "{}", answer.doc).is_err() {
-                return Served::Close;
-            }
+            writeln!(writer, "{}", answer.doc)
         }
-    } else if writeln!(
-        writer,
-        r#"{{"error":"expected QUERY/EXPLAIN/PING/STATS/STATS WINDOW/TOP/METRICS/QUIT"}}"#
-    )
-    .is_err()
-    {
-        return Served::Close;
-    }
-    if done {
+    } else {
+        writeln!(
+            writer,
+            r#"{{"error":"expected QUERY/EXPLAIN/PING/STATS/STATS WINDOW/TOP/METRICS/QUIT"}}"#
+        )
+    };
+    keep_serving(written, done)
+}
+
+/// Whether to keep serving a connection after one response write.
+fn keep_serving(written: std::io::Result<()>, done: bool) -> Served {
+    if written.is_err() || done {
         Served::Close
     } else {
         Served::Continue
@@ -1063,603 +828,513 @@ fn stats_window_seconds(rest: &str) -> Result<u64, &'static str> {
     }
 }
 
+/// One read of everything the diagnostic verbs report, taken once per
+/// request; `STATS`, `STATS WINDOW`, `TOP` and `METRICS` render it
+/// without touching the live engine.
+struct Capture<'a> {
+    metrics: MetricsSnapshot,
+    pool: PoolStats,
+    cache: Option<CacheStats>,
+    shards: Option<ShardedStats>,
+    batch: Option<BatchStats>,
+    remote: Option<RemoteStats>,
+    /// Per-shard breaker states under remote serving.
+    breakers: Option<Vec<BreakerState>>,
+    /// The windowed delta the verb asked for (`STATS WINDOW`, `TOP`);
+    /// `None` until the sampler has published two samples.
+    window: Option<WindowDelta>,
+    telemetry: Gauges,
+    /// The supervised worker fleet's live PIDs and respawn count.
+    workers: Option<(Vec<u32>, u64)>,
+    memory_mapped: bool,
+    info: &'a ServeInfo,
+    uptime_s: f64,
+}
+
+/// The telemetry hub's gauges.
+struct Gauges {
+    /// Sampler period in milliseconds (0 = disabled).
+    interval_ms: u64,
+    /// Periodic samples published so far.
+    samples: u64,
+    /// Sample-ring capacity (slots).
+    capacity: u64,
+    /// Queries executing right now.
+    in_flight: u64,
+    /// Fleet-wide query IDs issued.
+    qids_issued: u64,
+    /// The slowest recently answered query, as `(qid, wall_us)`.
+    slowest_recent: Option<(u64, u64)>,
+}
+
+impl<'a> Capture<'a> {
+    /// Read the live state once; `window_s` asks for the windowed delta
+    /// over (up to) that many seconds.
+    fn take(
+        ws: &WikiSearch,
+        supervisor: Option<&crate::supervisor::Supervisor>,
+        info: &'a ServeInfo,
+        window_s: Option<u64>,
+    ) -> Capture<'a> {
+        let telemetry = ws.telemetry();
+        Capture {
+            metrics: ws.metrics_snapshot(),
+            pool: ws.session_pool().stats(),
+            cache: ws.cache_stats(),
+            shards: ws.shard_stats(),
+            batch: ws.batch_stats(),
+            remote: ws.remote_stats(),
+            breakers: ws.remote_breaker_states(),
+            window: window_s.and_then(|secs| telemetry.window(secs.saturating_mul(1_000_000))),
+            telemetry: Gauges {
+                interval_ms: telemetry.interval_ms,
+                samples: telemetry.samples(),
+                capacity: telemetry.capacity() as u64,
+                in_flight: telemetry.in_flight().current(),
+                qids_issued: ws.query_ids_issued(),
+                slowest_recent: telemetry.slowest_recent(),
+            },
+            workers: supervisor.map(|sup| (sup.pids(), sup.respawns())),
+            memory_mapped: ws.is_memory_mapped(),
+            info,
+            uptime_s: info.started.elapsed().as_secs_f64(),
+        }
+    }
+}
+
+/// A JSON object from `(key, value)` entries, in order.
+fn object<'k>(entries: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
+    Value::Object(entries.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+}
+
+/// The `{count, mean, p50, p95, p99}` block of one histogram. With
+/// `millis`, microsecond observations are reported in milliseconds under
+/// `_ms` keys.
+fn quantiles(h: &HistogramSnapshot, millis: bool) -> Value {
+    let suffix = if millis { "_ms" } else { "" };
+    let mean = if millis {
+        json!(h.mean() / 1e3)
+    } else {
+        json!(h.mean())
+    };
+    let mut doc = vec![("count".to_owned(), json!(h.count)), (format!("mean{suffix}"), mean)];
+    for (key, p) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+        let v = h.percentile(p);
+        let v = if millis {
+            json!(v as f64 / 1e3)
+        } else {
+            json!(v)
+        };
+        doc.push((format!("{key}{suffix}"), v));
+    }
+    Value::Object(doc)
+}
+
+/// The `{qid, wall_ms}` of the slowest recently answered query, or null.
+fn slowest_recent(t: &Gauges) -> Value {
+    t.slowest_recent.map_or(
+        Value::Null,
+        |(qid, wall_us)| json!({ "qid": qid, "wall_ms": wall_us as f64 / 1e3 }),
+    )
+}
+
+/// The registry's histograms as `STATS`-style percentile blocks.
+fn histogram_blocks(m: &MetricsSnapshot) -> impl Iterator<Item = (&'static str, Value)> + '_ {
+    HISTOGRAMS
+        .iter()
+        .zip(m.histograms())
+        .map(|(s, h)| (s.stats, quantiles(h, s.micros)))
+}
+
+/// One `STATS` response line: the registry's counters (server counters
+/// at the top level, engine counters in `engine`) and percentile blocks,
+/// then the pool, cache, shard, batch, remote and telemetry snapshots.
+/// `cache` is null when `--cache-capacity 0`, `shards` when serving
+/// unsharded, `batch` when batching is off, `remote` without remote
+/// workers.
+fn stats_document(c: &Capture<'_>) -> Value {
+    let mut doc = vec![("memory_mapped", json!(c.memory_mapped))];
+    let mut engine = Vec::new();
+    for (series, value) in COUNTERS.iter().zip(c.metrics.counters()) {
+        for key in series.stats {
+            match key.strip_prefix("engine.") {
+                Some(key) => engine.push((key, json!(value))),
+                None => doc.push((key, json!(value))),
+            }
+        }
+    }
+    doc.push(("engine", object(engine)));
+    doc.extend(histogram_blocks(&c.metrics));
+    doc.extend([
+        ("pool", serde_json::to_value(&c.pool)),
+        ("cache", serde_json::to_value(&c.cache)),
+        ("shards", serde_json::to_value(&c.shards)),
+        ("batch", c.batch.as_ref().map_or(Value::Null, batch_block)),
+        ("remote", c.remote.as_ref().map_or(Value::Null, |r| remote_block(r, &c.workers))),
+        (
+            "telemetry",
+            object([
+                ("interval_ms", json!(c.telemetry.interval_ms)),
+                ("samples", json!(c.telemetry.samples)),
+                ("capacity", json!(c.telemetry.capacity)),
+                ("in_flight", json!(c.telemetry.in_flight)),
+                ("qids_issued", json!(c.telemetry.qids_issued)),
+                ("slowest_recent", slowest_recent(&c.telemetry)),
+            ]),
+        ),
+    ]);
+    object(doc)
+}
+
 /// One `STATS WINDOW <seconds>` response line: counters, rates and
 /// latency/expansion percentiles *of the window* — the newest telemetry
 /// sample minus the newest sample at least that much older. A structured
 /// error until the sampler has published two samples.
-fn stats_window(ws: &WikiSearch, secs: u64) -> serde_json::Value {
-    let telemetry = ws.telemetry();
-    let Some(w) = telemetry.window(secs.saturating_mul(1_000_000)) else {
-        return serde_json::json!({
+fn window_document(c: &Capture<'_>, secs: u64) -> Value {
+    let Some(w) = &c.window else {
+        return json!({
             "error": "window unavailable",
             "detail": "the windowed view needs two telemetry samples; \
                        is --telemetry-interval-ms > 0?",
         });
     };
-    let lat = &w.latency_us;
-    let exp = &w.expansions;
-    serde_json::json!({
-        "window_s": secs,
-        "span_ms": w.span_us as f64 / 1e3,
-        "samples": w.samples as u64,
-        "queries": w.queries,
-        "served": w.served,
-        "qps": w.qps(),
-        "cache_hits": w.cache_hits,
-        "cache_misses": w.cache_misses,
-        "cache_hit_rate": w.cache_hit_rate(),
-        "deadline_exceeded": w.deadline_exceeded,
-        "budget_exhausted": w.budget_exhausted,
-        "shard_unavailable": w.shard_unavailable,
-        "latency": {
-            "count": lat.count,
-            "mean_ms": lat.mean() / 1e3,
-            "p50_ms": lat.percentile(0.50) as f64 / 1e3,
-            "p95_ms": lat.percentile(0.95) as f64 / 1e3,
-            "p99_ms": lat.percentile(0.99) as f64 / 1e3,
-        },
-        "expansions": {
-            "count": exp.count,
-            "mean": exp.mean(),
-            "p50": exp.percentile(0.50),
-            "p95": exp.percentile(0.95),
-            "p99": exp.percentile(0.99),
-        },
-    })
+    let mut doc = vec![
+        ("window_s", json!(secs)),
+        ("span_ms", json!(w.span_us as f64 / 1e3)),
+        ("samples", json!(w.samples as u64)),
+    ];
+    for (series, value) in COUNTERS.iter().zip(w.delta.counters()) {
+        if series.window {
+            doc.push((series.name, json!(value)));
+        }
+        // The wire places each rate right after one of the counters.
+        match series.name {
+            "served" => doc.push(("qps", json!(w.qps()))),
+            "cache_misses" => doc.push(("cache_hit_rate", json!(w.cache_hit_rate()))),
+            _ => {}
+        }
+    }
+    doc.extend(histogram_blocks(&w.delta));
+    object(doc)
 }
 
 /// One `TOP` response line: the operator's at-a-glance view. `qps` and
-/// `cache_hit_rate` cover the last ten seconds and are `null` until the
-/// sampler has two samples; `slowest_recent` is `null` until a query
-/// has been answered; `breakers` is `null` without remote serving
-/// (gauge values: 0 closed, 1 half-open, 2 open).
-fn top_snapshot(ws: &WikiSearch, counters: &ServeCounters) -> serde_json::Value {
-    let telemetry = ws.telemetry();
-    let window = telemetry.window(10_000_000);
-    let mut doc = serde_json::json!({
-        "in_flight": telemetry.in_flight().current(),
-        "served": counters.served.load(Ordering::SeqCst) as u64,
-        "qids_issued": ws.query_ids_issued(),
-        "samples": telemetry.samples(),
-    });
-    if let serde_json::Value::Object(entries) = &mut doc {
-        entries.push((
-            "qps".to_owned(),
-            window.as_ref().map_or(serde_json::Value::Null, |w| serde_json::json!(w.qps())),
-        ));
-        entries.push((
-            "cache_hit_rate".to_owned(),
-            window
-                .as_ref()
-                .map_or(serde_json::Value::Null, |w| serde_json::json!(w.cache_hit_rate())),
-        ));
-        entries.push((
-            "slowest_recent".to_owned(),
-            match telemetry.slowest_recent() {
-                Some((qid, wall_us)) => {
-                    serde_json::json!({ "qid": qid, "wall_ms": wall_us as f64 / 1e3 })
-                }
-                None => serde_json::Value::Null,
-            },
-        ));
-        entries.push((
-            "breakers".to_owned(),
-            match ws.remote_breaker_states() {
-                Some(states) => {
-                    serde_json::json!(states.iter().map(|s| s.gauge()).collect::<Vec<f64>>())
-                }
-                None => serde_json::Value::Null,
-            },
-        ));
+/// `cache_hit_rate` cover the last ten seconds and are null until the
+/// sampler has two samples; `slowest_recent` is null until a query has
+/// been answered; `breakers` is null without remote serving (gauge
+/// values: 0 closed, 1 half-open, 2 open).
+fn top_document(c: &Capture<'_>) -> Value {
+    let mut doc = vec![("in_flight", json!(c.telemetry.in_flight))];
+    for (series, value) in COUNTERS.iter().zip(c.metrics.counters()) {
+        if series.top {
+            doc.push((series.name, json!(value)));
+        }
     }
-    doc
-}
-
-/// One `STATS` response line: serving counters, the engine's metrics
-/// counters, latency/expansion percentiles, plus live pool, cache,
-/// shard and remote snapshots. `cache` is JSON `null` when
-/// `--cache-capacity 0`; `shards` is JSON `null` when serving unsharded
-/// (`--shards 1`); `remote` is JSON `null` without remote workers.
-fn stats_snapshot(
-    ws: &WikiSearch,
-    counters: &ServeCounters,
-    supervisor: Option<&crate::supervisor::Supervisor>,
-) -> serde_json::Value {
-    let m = ws.metrics_snapshot();
-    let lat = &m.latency_us;
-    let exp = &m.expansions;
-    serde_json::json!({
-        "memory_mapped": ws.is_memory_mapped(),
-        "served": counters.served.load(Ordering::SeqCst),
-        "shed": counters.shed.load(Ordering::SeqCst),
-        "timeouts": counters.timeouts.load(Ordering::SeqCst),
-        "budget_exhausted": counters.budget_exhausted.load(Ordering::SeqCst),
-        "panics": counters.panics.load(Ordering::SeqCst),
-        "oversized": counters.oversized.load(Ordering::SeqCst),
-        "slow_queries": counters.slow_queries.load(Ordering::SeqCst),
-        "shard_unavailable": counters.shard_unavailable.load(Ordering::SeqCst),
-        "engine": {
-            "queries": m.queries,
-            "cache_hits": m.cache_hits,
-            "cache_misses": m.cache_misses,
-            "deadline_exceeded": m.deadline_exceeded,
-            "budget_exhausted": m.budget_exhausted,
-            "shard_unavailable": m.shard_unavailable,
-        },
-        "latency": {
-            "count": lat.count,
-            "mean_ms": lat.mean() / 1e3,
-            "p50_ms": lat.percentile(0.50) as f64 / 1e3,
-            "p95_ms": lat.percentile(0.95) as f64 / 1e3,
-            "p99_ms": lat.percentile(0.99) as f64 / 1e3,
-        },
-        "expansions": {
-            "count": exp.count,
-            "mean": exp.mean(),
-            "p50": exp.percentile(0.50),
-            "p95": exp.percentile(0.95),
-            "p99": exp.percentile(0.99),
-        },
-        "pool": ws.session_pool().stats(),
-        "cache": ws.cache_stats(),
-        "shards": ws.shard_stats(),
-        "batch": ws.batch_stats().map(|b| batch_block(&b)),
-        "remote": ws.remote_stats().map(|r| remote_block(&r, supervisor)),
-        "telemetry": telemetry_block(ws),
-    })
-}
-
-/// The `telemetry` object of the `STATS` line: sampler state, the
-/// in-flight gauge, query IDs issued, and the slowest recently answered
-/// query (built by hand — the vendored `json!` macro caps nesting).
-fn telemetry_block(ws: &WikiSearch) -> serde_json::Value {
-    let telemetry = ws.telemetry();
-    let mut doc = serde_json::json!({
-        "interval_ms": telemetry.interval_ms,
-        "samples": telemetry.samples(),
-        "capacity": telemetry.capacity() as u64,
-        "in_flight": telemetry.in_flight().current(),
-        "qids_issued": ws.query_ids_issued(),
-    });
-    if let serde_json::Value::Object(entries) = &mut doc {
-        entries.push((
-            "slowest_recent".to_owned(),
-            match telemetry.slowest_recent() {
-                Some((qid, wall_us)) => {
-                    serde_json::json!({ "qid": qid, "wall_ms": wall_us as f64 / 1e3 })
-                }
-                None => serde_json::Value::Null,
-            },
-        ));
-    }
-    doc
+    let w = c.window.as_ref();
+    doc.extend([
+        ("qids_issued", json!(c.telemetry.qids_issued)),
+        ("samples", json!(c.telemetry.samples)),
+        ("qps", w.map_or(Value::Null, |w| json!(w.qps()))),
+        ("cache_hit_rate", w.map_or(Value::Null, |w| json!(w.cache_hit_rate()))),
+        ("slowest_recent", slowest_recent(&c.telemetry)),
+        (
+            "breakers",
+            c.breakers.as_ref().map_or(Value::Null, |states| {
+                json!(states.iter().map(|s| s.gauge()).collect::<Vec<f64>>())
+            }),
+        ),
+    ]);
+    object(doc)
 }
 
 /// The `remote` object of the `STATS` line: the remote coordinator's
 /// counters, per-shard breaker states, RPC latency percentiles, and —
 /// under `--shard-workers` — the supervised fleet's live PIDs and
-/// respawn count (built by hand — the vendored `json!` macro caps
-/// nesting).
-fn remote_block(
-    r: &central::RemoteStats,
-    supervisor: Option<&crate::supervisor::Supervisor>,
-) -> serde_json::Value {
-    let mut doc = serde_json::json!({
-        "shards": r.shards,
-        "rpcs": r.rpcs,
-        "dials": r.dials,
-        "retries": r.retries,
-        "probes": r.probes,
-        "probe_failures": r.probe_failures,
-        "breaker_opens": r.breaker_opens,
-        "degraded_queries": r.degraded_queries,
-        "rounds": r.rounds,
-        "notifications": r.notifications,
-        "notifications_suppressed": r.notifications_suppressed,
-        "breaker": r.breaker,
-    });
-    if let serde_json::Value::Object(entries) = &mut doc {
-        let lat = &r.rpc_latency_us;
-        entries.push((
-            "rpc_latency_us".to_owned(),
-            serde_json::json!({
-                "count": lat.count,
-                "mean": lat.mean(),
-                "p50": lat.percentile(0.50),
-                "p95": lat.percentile(0.95),
-                "p99": lat.percentile(0.99),
-            }),
-        ));
-        entries.push((
-            "workers".to_owned(),
-            match supervisor {
-                Some(sup) => serde_json::json!({
-                    "pids": sup.pids(),
-                    "respawns": sup.respawns(),
-                }),
-                None => serde_json::Value::Null,
-            },
-        ));
-    }
-    doc
+/// respawn count.
+fn remote_block(r: &RemoteStats, workers: &Option<(Vec<u32>, u64)>) -> Value {
+    object([
+        ("shards", json!(r.shards)),
+        ("rpcs", json!(r.rpcs)),
+        ("dials", json!(r.dials)),
+        ("retries", json!(r.retries)),
+        ("probes", json!(r.probes)),
+        ("probe_failures", json!(r.probe_failures)),
+        ("breaker_opens", json!(r.breaker_opens)),
+        ("degraded_queries", json!(r.degraded_queries)),
+        ("rounds", json!(r.rounds)),
+        ("notifications", json!(r.notifications)),
+        ("notifications_suppressed", json!(r.notifications_suppressed)),
+        ("breaker", json!(r.breaker)),
+        ("rpc_latency_us", quantiles(&r.rpc_latency_us, false)),
+        (
+            "workers",
+            workers.as_ref().map_or(
+                Value::Null,
+                |(pids, respawns)| json!({ "pids": pids, "respawns": respawns }),
+            ),
+        ),
+    ])
 }
 
 /// The `batch` object of the `STATS` line: the batcher's counters plus
-/// size and fill-time percentiles (mirrors the `latency`/`expansions`
-/// rendering; built by hand — the vendored `json!` macro caps nesting).
-fn batch_block(b: &central::BatchStats) -> serde_json::Value {
-    let quantiles = |h: &central::HistogramSnapshot| {
-        serde_json::json!({
-            "count": h.count,
-            "mean": h.mean(),
-            "p50": h.percentile(0.50),
-            "p95": h.percentile(0.95),
-            "p99": h.percentile(0.99),
-        })
-    };
-    let mut doc = serde_json::json!({
-        "window_us": b.window_us,
-        "max_batch": b.max_batch,
-        "batches": b.batches,
-        "queries": b.queries,
-        "enqueued": b.enqueued,
-        "delivered": b.delivered,
-    });
-    if let serde_json::Value::Object(entries) = &mut doc {
-        entries.push(("size".to_owned(), quantiles(&b.size)));
-        entries.push(("fill_us".to_owned(), quantiles(&b.fill_us)));
-    }
-    doc
+/// size and fill-time percentiles.
+fn batch_block(b: &BatchStats) -> Value {
+    object([
+        ("window_us", json!(b.window_us)),
+        ("max_batch", json!(b.max_batch)),
+        ("batches", json!(b.batches)),
+        ("queries", json!(b.queries)),
+        ("enqueued", json!(b.enqueued)),
+        ("delivered", json!(b.delivered)),
+        ("size", quantiles(&b.size, false)),
+        ("fill_us", quantiles(&b.fill_us, false)),
+    ])
 }
 
-/// The `METRICS` response: the engine's metrics registry plus the pool,
-/// cache, telemetry and serving counters in Prometheus text exposition
-/// format, terminated by a literal `# EOF` line (the line-protocol
-/// framing for this one multi-line response).
-fn metrics_exposition(ws: &WikiSearch, counters: &ServeCounters, info: &ServeInfo) -> String {
-    let m = ws.metrics_snapshot();
+/// One Prometheus metric family's samples.
+enum Family<'a> {
+    /// A monotone counter.
+    Counter(u64),
+    /// A point-in-time gauge.
+    Gauge(f64),
+    /// A gauge with one sample per `(label-body, value)` entry. The label
+    /// body goes inside the braces verbatim (e.g. `shard="0"`), so callers
+    /// are responsible for escaping label values.
+    Labeled(Vec<(String, f64)>),
+    /// A histogram whose observations are multiplied by the given scale
+    /// (e.g. `1e-6` to expose microseconds in seconds).
+    Histogram(&'a HistogramSnapshot, f64),
+}
+
+/// Append one family in Prometheus text exposition format: `# HELP`,
+/// `# TYPE`, then its samples — a histogram as cumulative
+/// `_bucket{le="…"}` samples (only buckets that received observations,
+/// plus the mandatory `le="+Inf"`), `_sum`, and `_count`. Metric names
+/// must match `[a-zA-Z_:][a-zA-Z0-9_:]*`.
+fn prometheus(out: &mut String, name: &str, help: &str, family: Family<'_>) {
+    let kind = match family {
+        Family::Counter(_) => "counter",
+        Family::Gauge(_) | Family::Labeled(_) => "gauge",
+        Family::Histogram(..) => "histogram",
+    };
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    match family {
+        Family::Counter(value) => {
+            let _ = writeln!(out, "{name} {value}");
+        }
+        Family::Gauge(value) => {
+            let _ = writeln!(out, "{name} {value}");
+        }
+        Family::Labeled(samples) => {
+            for (labels, value) in samples {
+                let _ = writeln!(out, "{name}{{{labels}}} {value}");
+            }
+        }
+        Family::Histogram(h, scale) => {
+            let mut cumulative = 0u64;
+            for (i, &c) in h.buckets.iter().enumerate() {
+                if c == 0 || i >= BUCKETS - 1 {
+                    continue; // the unbounded last bucket folds into +Inf
+                }
+                cumulative += c;
+                let le = bucket_upper_bound(i) as f64 * scale;
+                let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+            }
+            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
+            let _ = writeln!(out, "{name}_sum {}", h.sum as f64 * scale);
+            let _ = writeln!(out, "{name}_count {}", h.count);
+        }
+    }
+}
+
+/// A table of `METRICS` families read off one stats value `T`:
+/// `(name, help, value)`, in exposition order.
+type Families<T> = &'static [(&'static str, &'static str, fn(&T) -> Family<'_>)];
+
+#[rustfmt::skip]
+const POOL_FAMILIES: Families<PoolStats> = &[
+    ("ws_pool_queries_total", "Queries completed through pooled sessions.",
+        |p| Family::Counter(p.queries_run)),
+    ("ws_pool_sessions_created", "Sessions ever created (concurrency peak).",
+        |p| Family::Gauge(p.sessions_created as f64)),
+    ("ws_pool_idle_sessions", "Sessions idle in the freelist.",
+        |p| Family::Gauge(p.idle_sessions as f64)),
+    ("ws_pool_in_flight", "Sessions currently checked out.", |p| Family::Gauge(p.in_flight as f64)),
+    ("ws_pool_quarantined_total", "Sessions destroyed after a panic.",
+        |p| Family::Counter(p.quarantined)),
+];
+
+#[rustfmt::skip]
+const CACHE_FAMILIES: Families<CacheStats> = &[
+    ("ws_cache_lookups_total", "Result-cache gets.", |c| Family::Counter(c.lookups)),
+    ("ws_cache_evictions_total", "Result-cache evictions.", |c| Family::Counter(c.evictions)),
+    ("ws_cache_entries", "Result-cache entries resident.", |c| Family::Gauge(c.entries as f64)),
+    ("ws_cache_bytes", "Result-cache bytes resident (estimate).",
+        |c| Family::Gauge(c.bytes as f64)),
+];
+
+#[rustfmt::skip]
+const SHARD_FAMILIES: Families<ShardedStats> = &[
+    ("ws_shard_count", "Graph shards in the scatter-gather plan.",
+        |s| Family::Gauge(s.shards as f64)),
+    ("ws_shard_rounds_total", "Cross-shard frontier-exchange rounds.",
+        |s| Family::Counter(s.rounds)),
+    ("ws_shard_notifications_total", "Boundary hit notifications broadcast to replica holders.",
+        |s| Family::Counter(s.notifications)),
+    ("ws_shard_notifications_suppressed_total",
+        "Duplicate boundary notifications pruned before broadcast.",
+        |s| Family::Counter(s.notifications_suppressed)),
+    ("ws_shard_pool_queries_total", "Per-shard session checkouts (shards x sharded queries).",
+        |s| Family::Counter(s.pools.queries_run)),
+    ("ws_shard_pool_quarantined_total", "Shard sessions destroyed after a panic.",
+        |s| Family::Counter(s.pools.quarantined)),
+];
+
+#[rustfmt::skip]
+const BATCH_FAMILIES: Families<BatchStats> = &[
+    ("ws_batch_batches_total", "Micro-batches executed (a solo run counts as a batch of one).",
+        |b| Family::Counter(b.batches)),
+    ("ws_batch_queries_total", "Queries fused into micro-batches.",
+        |b| Family::Counter(b.queries)),
+    ("ws_batch_enqueued_total", "Queries submitted to the micro-batcher.",
+        |b| Family::Counter(b.enqueued)),
+    ("ws_batch_delivered_total", "Outcomes demultiplexed back to submitters.",
+        |b| Family::Counter(b.delivered)),
+    ("ws_batch_size", "Queries per executed micro-batch.", |b| Family::Histogram(&b.size, 1.0)),
+    ("ws_batch_fill_seconds", "Collection-window fill time per batch.",
+        |b| Family::Histogram(&b.fill_us, 1e-6)),
+];
+
+#[rustfmt::skip]
+const REMOTE_FAMILIES: Families<RemoteStats> = &[
+    ("ws_remote_shards", "Remote shard workers behind the coordinator.",
+        |r| Family::Gauge(r.shards as f64)),
+    ("ws_remote_rpcs_total", "RPCs issued to remote shard workers (queries, handshakes, probes).",
+        |r| Family::Counter(r.rpcs)),
+    ("ws_remote_dials_total", "Fresh worker connections dialed (including respawn re-dials).",
+        |r| Family::Counter(r.dials)),
+    ("ws_remote_retries_total", "Whole-query retries after a shard RPC failure.",
+        |r| Family::Counter(r.retries)),
+    ("ws_remote_probes_total", "Out-of-band health probes sent to workers.",
+        |r| Family::Counter(r.probes)),
+    ("ws_remote_probe_failures_total", "Health probes that confirmed a worker failure.",
+        |r| Family::Counter(r.probe_failures)),
+    ("ws_remote_breaker_opens_total", "Per-shard circuit-breaker open transitions.",
+        |r| Family::Counter(r.breaker_opens)),
+    ("ws_remote_degraded_queries_total",
+        "Queries answered best-effort with at least one shard skipped.",
+        |r| Family::Counter(r.degraded_queries)),
+    ("ws_remote_rounds_total", "Cross-shard frontier-exchange rounds over the wire.",
+        |r| Family::Counter(r.rounds)),
+    ("ws_remote_rpc_seconds", "Per-RPC round-trip latency to remote shard workers.",
+        |r| Family::Histogram(&r.rpc_latency_us, 1e-6)),
+];
+
+#[rustfmt::skip]
+const TELEMETRY_FAMILIES: Families<Gauges> = &[
+    ("ws_telemetry_interval_ms", "Background sampler period (0 = disabled).",
+        |c| Family::Gauge(c.interval_ms as f64)),
+    ("ws_telemetry_samples_total", "Periodic telemetry samples published.",
+        |c| Family::Counter(c.samples)),
+    ("ws_telemetry_ring_capacity", "Telemetry sample-ring capacity (slots).",
+        |c| Family::Gauge(c.capacity as f64)),
+    ("ws_telemetry_in_flight", "Queries executing right now.",
+        |c| Family::Gauge(c.in_flight as f64)),
+    ("ws_telemetry_query_ids_total", "Fleet-wide query IDs issued.",
+        |c| Family::Counter(c.qids_issued)),
+];
+
+/// Append every family of `table`, read off `stats`.
+fn expose<T>(out: &mut String, table: Families<T>, stats: &T) {
+    for (name, help, value) in table {
+        prometheus(out, name, help, value(stats));
+    }
+}
+
+/// Append the registry's counter families — the `ws_server_*` ones when
+/// `server`, the others (followed by the histograms) otherwise.
+fn expose_registry(out: &mut String, m: &MetricsSnapshot, server: bool) {
+    for (series, value) in COUNTERS.iter().zip(m.counters()) {
+        for (name, help) in series.prometheus {
+            if name.starts_with("ws_server_") == server {
+                prometheus(out, name, help, Family::Counter(value));
+            }
+        }
+    }
+    if !server {
+        for (series, h) in HISTOGRAMS.iter().zip(m.histograms()) {
+            let scale = if series.micros { 1e-6 } else { 1.0 };
+            prometheus(out, series.prometheus.0, series.prometheus.1, Family::Histogram(h, scale));
+        }
+    }
+}
+
+/// The `METRICS` response: build identity and uptime, the registry, the
+/// pool, cache, shard, batch, remote and telemetry families, then the
+/// server's own counters, in Prometheus text exposition format and
+/// terminated by a literal `# EOF` line (the line-protocol framing for
+/// this one multi-line response).
+fn metrics_exposition(c: &Capture<'_>) -> String {
+    let info = c.info;
     let mut out = String::new();
-    prometheus_labeled_gauge(
+    let build = format!(
+        "version=\"{}\",backend=\"{}\",shards=\"{}\",mmap=\"{}\"",
+        info.version, info.backend, info.shards, c.memory_mapped
+    );
+    prometheus(
         &mut out,
         "ws_build_info",
         "Build/runtime identity (the value is always 1; the labels carry the facts).",
-        &[(
-            format!(
-                "version=\"{}\",backend=\"{}\",shards=\"{}\",mmap=\"{}\"",
-                info.version,
-                info.backend,
-                info.shards,
-                ws.is_memory_mapped()
-            ),
-            1.0,
-        )],
+        Family::Labeled(vec![(build, 1.0)]),
     );
-    prometheus_gauge(
+    prometheus(
         &mut out,
         "ws_uptime_seconds",
         "Seconds since the server started.",
-        info.started.elapsed().as_secs_f64(),
+        Family::Gauge(c.uptime_s),
     );
-    prometheus_counter(&mut out, "ws_queries_total", "Queries answered by the engine.", m.queries);
-    prometheus_counter(
-        &mut out,
-        "ws_cache_hits_total",
-        "Queries answered from the result cache.",
-        m.cache_hits,
-    );
-    prometheus_counter(
-        &mut out,
-        "ws_cache_misses_total",
-        "Queries that missed the result cache and ran a search.",
-        m.cache_misses,
-    );
-    prometheus_counter(
-        &mut out,
-        "ws_deadline_exceeded_total",
-        "Queries aborted by their wall-clock deadline.",
-        m.deadline_exceeded,
-    );
-    prometheus_counter(
-        &mut out,
-        "ws_budget_exhausted_total",
-        "Queries aborted by their expansion cap.",
-        m.budget_exhausted,
-    );
-    prometheus_counter(
-        &mut out,
-        "ws_shard_unavailable_total",
-        "Queries refused because a remote shard was unreachable.",
-        m.shard_unavailable,
-    );
-    prometheus_histogram(
-        &mut out,
-        "ws_latency_seconds",
-        "End-to-end query latency (successful queries).",
-        &m.latency_us,
-        1e-6,
-    );
-    prometheus_histogram(
-        &mut out,
-        "ws_expansions",
-        "Expansion units per computed search.",
-        &m.expansions,
-        1.0,
-    );
-    let pool = ws.session_pool().stats();
-    prometheus_counter(
-        &mut out,
-        "ws_pool_queries_total",
-        "Queries completed through pooled sessions.",
-        pool.queries_run,
-    );
-    prometheus_gauge(
-        &mut out,
-        "ws_pool_sessions_created",
-        "Sessions ever created (concurrency peak).",
-        pool.sessions_created as f64,
-    );
-    prometheus_gauge(
-        &mut out,
-        "ws_pool_idle_sessions",
-        "Sessions idle in the freelist.",
-        pool.idle_sessions as f64,
-    );
-    prometheus_gauge(
-        &mut out,
-        "ws_pool_in_flight",
-        "Sessions currently checked out.",
-        pool.in_flight as f64,
-    );
-    prometheus_counter(
-        &mut out,
-        "ws_pool_quarantined_total",
-        "Sessions destroyed after a panic.",
-        pool.quarantined,
-    );
-    if let Some(cache) = ws.cache_stats() {
-        prometheus_counter(&mut out, "ws_cache_lookups_total", "Result-cache gets.", cache.lookups);
-        prometheus_counter(
-            &mut out,
-            "ws_cache_evictions_total",
-            "Result-cache evictions.",
-            cache.evictions,
-        );
-        prometheus_gauge(
-            &mut out,
-            "ws_cache_entries",
-            "Result-cache entries resident.",
-            cache.entries as f64,
-        );
-        prometheus_gauge(
-            &mut out,
-            "ws_cache_bytes",
-            "Result-cache bytes resident (estimate).",
-            cache.bytes as f64,
-        );
+    expose_registry(&mut out, &c.metrics, false);
+    expose(&mut out, POOL_FAMILIES, &c.pool);
+    if let Some(cache) = &c.cache {
+        expose(&mut out, CACHE_FAMILIES, cache);
     }
-    if let Some(shards) = ws.shard_stats() {
-        prometheus_gauge(
-            &mut out,
-            "ws_shard_count",
-            "Graph shards in the scatter-gather plan.",
-            shards.shards as f64,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_shard_rounds_total",
-            "Cross-shard frontier-exchange rounds.",
-            shards.rounds,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_shard_notifications_total",
-            "Boundary hit notifications broadcast to replica holders.",
-            shards.notifications,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_shard_notifications_suppressed_total",
-            "Duplicate boundary notifications pruned before broadcast.",
-            shards.notifications_suppressed,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_shard_pool_queries_total",
-            "Per-shard session checkouts (shards x sharded queries).",
-            shards.pools.queries_run,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_shard_pool_quarantined_total",
-            "Shard sessions destroyed after a panic.",
-            shards.pools.quarantined,
-        );
+    if let Some(shards) = &c.shards {
+        expose(&mut out, SHARD_FAMILIES, shards);
     }
-    if let Some(batch) = ws.batch_stats() {
-        prometheus_counter(
-            &mut out,
-            "ws_batch_batches_total",
-            "Micro-batches executed (a solo run counts as a batch of one).",
-            batch.batches,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_batch_queries_total",
-            "Queries fused into micro-batches.",
-            batch.queries,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_batch_enqueued_total",
-            "Queries submitted to the micro-batcher.",
-            batch.enqueued,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_batch_delivered_total",
-            "Outcomes demultiplexed back to submitters.",
-            batch.delivered,
-        );
-        prometheus_histogram(
-            &mut out,
-            "ws_batch_size",
-            "Queries per executed micro-batch.",
-            &batch.size,
-            1.0,
-        );
-        prometheus_histogram(
-            &mut out,
-            "ws_batch_fill_seconds",
-            "Collection-window fill time per batch.",
-            &batch.fill_us,
-            1e-6,
-        );
+    if let Some(batch) = &c.batch {
+        expose(&mut out, BATCH_FAMILIES, batch);
     }
-    if let Some(remote) = ws.remote_stats() {
-        prometheus_gauge(
-            &mut out,
-            "ws_remote_shards",
-            "Remote shard workers behind the coordinator.",
-            remote.shards as f64,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_remote_rpcs_total",
-            "RPCs issued to remote shard workers (queries, handshakes, probes).",
-            remote.rpcs,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_remote_dials_total",
-            "Fresh worker connections dialed (including respawn re-dials).",
-            remote.dials,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_remote_retries_total",
-            "Whole-query retries after a shard RPC failure.",
-            remote.retries,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_remote_probes_total",
-            "Out-of-band health probes sent to workers.",
-            remote.probes,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_remote_probe_failures_total",
-            "Health probes that confirmed a worker failure.",
-            remote.probe_failures,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_remote_breaker_opens_total",
-            "Per-shard circuit-breaker open transitions.",
-            remote.breaker_opens,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_remote_degraded_queries_total",
-            "Queries answered best-effort with at least one shard skipped.",
-            remote.degraded_queries,
-        );
-        prometheus_counter(
-            &mut out,
-            "ws_remote_rounds_total",
-            "Cross-shard frontier-exchange rounds over the wire.",
-            remote.rounds,
-        );
-        prometheus_histogram(
-            &mut out,
-            "ws_remote_rpc_seconds",
-            "Per-RPC round-trip latency to remote shard workers.",
-            &remote.rpc_latency_us,
-            1e-6,
-        );
-        if let Some(states) = ws.remote_breaker_states() {
-            let samples: Vec<(String, f64)> = states
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (format!("shard=\"{i}\""), s.gauge()))
-                .collect();
-            prometheus_labeled_gauge(
+    if let Some(remote) = &c.remote {
+        expose(&mut out, REMOTE_FAMILIES, remote);
+        if let Some(states) = &c.breakers {
+            let samples =
+                states.iter().enumerate().map(|(i, s)| (format!("shard=\"{i}\""), s.gauge()));
+            prometheus(
                 &mut out,
                 "ws_remote_breaker_state",
                 "Per-shard breaker state (0 closed, 1 half-open, 2 open).",
-                &samples,
+                Family::Labeled(samples.collect()),
             );
         }
     }
-    let telemetry = ws.telemetry();
-    prometheus_gauge(
-        &mut out,
-        "ws_telemetry_interval_ms",
-        "Background sampler period (0 = disabled).",
-        telemetry.interval_ms as f64,
-    );
-    prometheus_counter(
-        &mut out,
-        "ws_telemetry_samples_total",
-        "Periodic telemetry samples published.",
-        telemetry.samples(),
-    );
-    prometheus_gauge(
-        &mut out,
-        "ws_telemetry_ring_capacity",
-        "Telemetry sample-ring capacity (slots).",
-        telemetry.capacity() as f64,
-    );
-    prometheus_gauge(
-        &mut out,
-        "ws_telemetry_in_flight",
-        "Queries executing right now.",
-        telemetry.in_flight().current() as f64,
-    );
-    prometheus_counter(
-        &mut out,
-        "ws_telemetry_query_ids_total",
-        "Fleet-wide query IDs issued.",
-        ws.query_ids_issued(),
-    );
-    prometheus_counter(
-        &mut out,
-        "ws_server_served_total",
-        "Successful query responses.",
-        counters.served.load(Ordering::SeqCst) as u64,
-    );
-    prometheus_counter(
-        &mut out,
-        "ws_server_shed_total",
-        "Connections refused because the worker queue was full.",
-        counters.shed.load(Ordering::SeqCst),
-    );
-    prometheus_counter(
-        &mut out,
-        "ws_server_panics_total",
-        "Queries that panicked (sessions quarantined).",
-        counters.panics.load(Ordering::SeqCst),
-    );
-    prometheus_counter(
-        &mut out,
-        "ws_server_oversized_total",
-        "Request lines rejected for exceeding the size cap.",
-        counters.oversized.load(Ordering::SeqCst),
-    );
-    prometheus_counter(
-        &mut out,
-        "ws_server_slow_queries_total",
-        "Queries at or over the slow-query threshold.",
-        counters.slow_queries.load(Ordering::SeqCst),
-    );
-    prometheus_counter(
-        &mut out,
-        "ws_server_shard_unavailable_total",
-        "Queries refused at the server because a remote shard was down.",
-        counters.shard_unavailable.load(Ordering::SeqCst),
-    );
+    expose(&mut out, TELEMETRY_FAMILIES, &c.telemetry);
+    expose_registry(&mut out, &c.metrics, true);
     out.push_str("# EOF\n");
     out
+}
+
+/// How a query request is answered.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    /// `QUERY`: through the result cache, untraced.
+    Query,
+    /// `QUERY` with [`TraceLevel::Full`], so the slow-query log can attach
+    /// the execution trace (tracing never changes answers).
+    TracedQuery,
+    /// `EXPLAIN`: bypasses the cache so the trace describes a real search,
+    /// and attaches the trace to the answer document.
+    Explain,
 }
 
 /// The outcome of one served query: the JSON response line, whether it
@@ -1667,7 +1342,7 @@ fn metrics_exposition(ws: &WikiSearch, counters: &ServeCounters, info: &ServeInf
 /// server-side observations the slow-query log needs.
 struct Answer {
     /// The one-line JSON response.
-    doc: serde_json::Value,
+    doc: Value,
     /// Whether the query produced an answer document (vs. an error).
     succeeded: bool,
     /// Server-measured wall time around the whole search, in ms.
@@ -1680,96 +1355,59 @@ struct Answer {
     /// The execution trace, when the query ran traced.
     trace: Option<Box<QueryTrace>>,
     /// The error kind (`"internal"`, `"deadline_exceeded"`,
-    /// `"budget_exhausted"`) when the query failed.
+    /// `"budget_exhausted"`, `"shard_unavailable"`) when the query failed.
     error: Option<&'static str>,
 }
 
-/// One response line for one query, under the server's budget and panic
-/// isolation. With `traced`, the search runs with [`TraceLevel::Full`]
-/// so the slow-query log can attach the execution trace (tracing never
-/// changes answers). `qid` was assigned at admission and rides the
-/// response — error documents included.
-fn answer_query(
-    ws: &WikiSearch,
-    q: &str,
-    budget: &QueryBudget,
-    counters: &ServeCounters,
-    traced: bool,
-    qid: u64,
-) -> Answer {
+/// One response line for one `QUERY` or `EXPLAIN`, under the server's
+/// budget and panic isolation. `qid` was assigned at admission and rides
+/// the response — error documents included. A failed search is counted
+/// by the engine's registry; a panic is counted here.
+fn answer_query(ws: &WikiSearch, q: &str, budget: &QueryBudget, mode: Mode, qid: u64) -> Answer {
     let started = Instant::now();
     // Panic isolation boundary: a panicking search unwinds through the
     // pooled session's guard (quarantining the session) and is caught
     // here, so the worker and its other clients are unaffected.
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        if traced {
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| match mode {
+        Mode::Query => ws.try_search_with_params_tagged(q, ws.params(), budget, qid),
+        Mode::TracedQuery => {
             let params = ws.params().clone().with_trace(TraceLevel::Full);
             ws.try_search_with_params_tagged(q, &params, budget, qid)
-        } else {
-            ws.try_search_with_params_tagged(q, ws.params(), budget, qid)
         }
+        Mode::Explain => ws.explain_with_params_tagged(q, ws.params(), budget, qid),
     }));
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let result = match result {
-        Ok(result) => result,
-        Err(_panic) => {
-            counters.panics.fetch_add(1, Ordering::SeqCst);
-            let doc = serde_json::json!({
-                "error": "internal",
-                "detail": "query execution panicked; its session was quarantined",
-                "query": q,
-                "qid": qid,
-            });
-            return Answer {
-                doc,
-                succeeded: false,
-                wall_ms,
-                qid,
-                phase_ms: None,
-                trace: None,
-                error: Some("internal"),
-            };
-        }
+    let failed = |error: &'static str, detail: String| Answer {
+        doc: json!({ "error": error, "detail": detail, "query": q, "qid": qid }),
+        succeeded: false,
+        wall_ms,
+        qid,
+        phase_ms: None,
+        trace: None,
+        error: Some(error),
     };
     let mut result = match result {
-        Ok(result) => result,
-        Err(e) => {
-            match e {
-                SearchError::DeadlineExceeded { .. } => {
-                    counters.timeouts.fetch_add(1, Ordering::SeqCst)
-                }
-                SearchError::BudgetExhausted { .. } => {
-                    counters.budget_exhausted.fetch_add(1, Ordering::SeqCst)
-                }
-                SearchError::ShardUnavailable { .. } => {
-                    counters.shard_unavailable.fetch_add(1, Ordering::SeqCst)
-                }
-            };
-            let doc = serde_json::json!({
-                "error": e.kind(),
-                "detail": e.to_string(),
-                "query": q,
-                "qid": qid,
-            });
-            return Answer {
-                doc,
-                succeeded: false,
-                wall_ms,
-                qid,
-                phase_ms: None,
-                trace: None,
-                error: Some(e.kind()),
-            };
+        Ok(Ok(result)) => result,
+        Ok(Err(e)) => return failed(e.kind(), e.to_string()),
+        Err(_panic) => {
+            ws.metrics().panics.inc();
+            let detail = "query execution panicked; its session was quarantined";
+            return failed("internal", detail.to_owned());
         }
     };
-    let doc = answer_document(ws, q, &result);
+    let mut doc = answer_document(ws, q, &result);
+    let trace = result.trace.take();
+    if let (Mode::Explain, Value::Object(entries)) = (mode, &mut doc) {
+        let trace = trace.as_deref().map_or(Value::Null, serde_json::to_value);
+        entries.push(("trace".to_owned(), trace));
+    }
     Answer {
         doc,
         succeeded: true,
         wall_ms,
         qid,
         phase_ms: Some(PhaseMillis::from(&result.profile)),
-        trace: result.trace.take(),
+        trace,
         error: None,
     }
 }
@@ -1779,12 +1417,12 @@ fn answer_document(
     ws: &WikiSearch,
     q: &str,
     result: &wikisearch_engine::WikiSearchResult,
-) -> serde_json::Value {
-    let answers: Vec<serde_json::Value> = result
+) -> Value {
+    let answers: Vec<Value> = result
         .answers
         .iter()
         .map(|a| {
-            serde_json::json!({
+            json!({
                 "central": ws.graph().node_text(a.central),
                 "depth": a.depth,
                 "score": a.score,
@@ -1793,7 +1431,7 @@ fn answer_document(
             })
         })
         .collect();
-    serde_json::json!({
+    json!({
         "query": q,
         "qid": result.qid,
         "answers": answers,
@@ -1801,68 +1439,6 @@ fn answer_document(
         "ms": result.profile.total().as_secs_f64() * 1e3,
         "degraded": result.degraded,
     })
-}
-
-/// One `EXPLAIN` response line: the regular answer document with the
-/// full execution trace attached. Runs under the same budget and panic
-/// isolation as `QUERY`, but bypasses the result cache so the trace
-/// describes a real search. Diagnostic — never counts toward
-/// `--max-requests`.
-fn explain_query(
-    ws: &WikiSearch,
-    q: &str,
-    budget: &QueryBudget,
-    counters: &ServeCounters,
-    qid: u64,
-) -> serde_json::Value {
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        ws.explain_with_params_tagged(q, ws.params(), budget, qid)
-    }));
-    let result = match result {
-        Ok(result) => result,
-        Err(_panic) => {
-            counters.panics.fetch_add(1, Ordering::SeqCst);
-            return serde_json::json!({
-                "error": "internal",
-                "detail": "query execution panicked; its session was quarantined",
-                "query": q,
-                "qid": qid,
-            });
-        }
-    };
-    match result {
-        Ok(result) => {
-            let mut doc = answer_document(ws, q, &result);
-            if let serde_json::Value::Object(entries) = &mut doc {
-                let trace = result
-                    .trace
-                    .as_deref()
-                    .map(serde_json::to_value)
-                    .unwrap_or(serde_json::Value::Null);
-                entries.push(("trace".to_owned(), trace));
-            }
-            doc
-        }
-        Err(e) => {
-            match e {
-                SearchError::DeadlineExceeded { .. } => {
-                    counters.timeouts.fetch_add(1, Ordering::SeqCst)
-                }
-                SearchError::BudgetExhausted { .. } => {
-                    counters.budget_exhausted.fetch_add(1, Ordering::SeqCst)
-                }
-                SearchError::ShardUnavailable { .. } => {
-                    counters.shard_unavailable.fetch_add(1, Ordering::SeqCst)
-                }
-            };
-            serde_json::json!({
-                "error": e.kind(),
-                "detail": e.to_string(),
-                "query": q,
-                "qid": qid,
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1902,6 +1478,10 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
         panic!("server not reachable on port {port}");
+    }
+
+    fn test_info() -> ServeInfo {
+        ServeInfo { version: "test", backend: "seq".into(), shards: 1, started: Instant::now() }
     }
 
     #[test]
@@ -2092,22 +1672,21 @@ mod tests {
         let s = b.add_node("s", "sql");
         b.add_edge(x, s, "rel");
         let ws = WikiSearch::build_with(b.build(), Backend::Sequential);
-        let counters = ServeCounters::default();
         let budget = QueryBudget::unlimited().with_timeout(Duration::ZERO);
-        let answer = answer_query(&ws, "xml sql", &budget, &counters, false, 11);
+        let answer = answer_query(&ws, "xml sql", &budget, Mode::Query, 11);
         assert!(!answer.succeeded);
         assert_eq!(answer.doc["error"], "deadline_exceeded");
         assert_eq!(answer.doc["qid"], 11u64, "error documents carry the qid");
         assert_eq!(answer.error, Some("deadline_exceeded"));
         assert!(answer.phase_ms.is_none(), "failed queries have no phase profile");
-        assert_eq!(counters.timeouts.load(Ordering::SeqCst), 1);
+        assert_eq!(ws.metrics().deadline_exceeded.get(), 1);
         // And an unlimited budget still answers.
-        let answer = answer_query(&ws, "xml sql", &QueryBudget::unlimited(), &counters, false, 12);
+        let answer = answer_query(&ws, "xml sql", &QueryBudget::unlimited(), Mode::Query, 12);
         assert!(answer.succeeded, "{}", answer.doc);
         assert_eq!(answer.doc["qid"], 12u64, "answer documents carry the qid");
         assert!(answer.trace.is_none(), "untraced queries carry no trace");
         assert!(answer.phase_ms.is_some(), "every completed search has a phase profile");
-        assert_eq!(counters.served.load(Ordering::SeqCst), 0, "served is counted by the caller");
+        assert_eq!(ws.metrics().served.get(), 0, "served is counted by the caller");
     }
 
     #[test]
@@ -2119,10 +1698,9 @@ mod tests {
         b.add_edge(x, q, "rel");
         b.add_edge(s, q, "rel");
         let ws = WikiSearch::build_with(b.build(), Backend::Sequential);
-        let counters = ServeCounters::default();
         let budget = QueryBudget::unlimited();
-        let plain = answer_query(&ws, "xml sql", &budget, &counters, false, 1);
-        let traced = answer_query(&ws, "xml sql", &budget, &counters, true, 2);
+        let plain = answer_query(&ws, "xml sql", &budget, Mode::Query, 1);
+        let traced = answer_query(&ws, "xml sql", &budget, Mode::TracedQuery, 2);
         assert!(traced.succeeded);
         let trace = traced.trace.expect("traced query carries its trace");
         assert!(!trace.levels.is_empty(), "per-level records present");
@@ -2142,8 +1720,7 @@ mod tests {
         b.add_edge(x, q, "rel");
         b.add_edge(s, q, "rel");
         let ws = WikiSearch::build_with(b.build(), Backend::Sequential);
-        let counters = ServeCounters::default();
-        let doc = explain_query(&ws, "xml sql", &QueryBudget::unlimited(), &counters, 7);
+        let doc = answer_query(&ws, "xml sql", &QueryBudget::unlimited(), Mode::Explain, 7).doc;
         assert_eq!(doc["answers"][0]["central"], "query language", "{doc}");
         assert_eq!(doc["qid"], 7u64, "{doc}");
         assert!(doc["trace"]["levels"].is_array(), "{doc}");
@@ -2151,10 +1728,10 @@ mod tests {
         assert_eq!(doc["trace"]["keywords"], 2u64, "{doc}");
         // EXPLAIN under an expired deadline reports the structured error.
         let budget = QueryBudget::unlimited().with_timeout(Duration::ZERO);
-        let doc = explain_query(&ws, "xml sql", &budget, &counters, 8);
+        let doc = answer_query(&ws, "xml sql", &budget, Mode::Explain, 8).doc;
         assert_eq!(doc["error"], "deadline_exceeded", "{doc}");
         assert_eq!(doc["qid"], 8u64, "{doc}");
-        assert_eq!(counters.timeouts.load(Ordering::SeqCst), 1);
+        assert_eq!(ws.metrics().deadline_exceeded.get(), 1);
     }
 
     #[test]
@@ -2165,7 +1742,7 @@ mod tests {
             .into_owned();
         let _ = std::fs::remove_file(&path);
         let slow = SlowLog::open(&path, 50, true).unwrap();
-        let counters = ServeCounters::default();
+        let metrics = MetricsRegistry::new();
         let fast = Answer {
             doc: serde_json::json!({}),
             succeeded: true,
@@ -2175,7 +1752,7 @@ mod tests {
             trace: None,
             error: None,
         };
-        slow.maybe_log("quick", &fast, &counters);
+        slow.maybe_log("quick", &fast, &metrics);
         let slow_answer = Answer {
             doc: serde_json::json!({}),
             succeeded: true,
@@ -2185,8 +1762,8 @@ mod tests {
             trace: Some(Box::new(QueryTrace::default())),
             error: None,
         };
-        slow.maybe_log("laggard", &slow_answer, &counters);
-        assert_eq!(counters.slow_queries.load(Ordering::SeqCst), 1);
+        slow.maybe_log("laggard", &slow_answer, &metrics);
+        assert_eq!(metrics.slow_queries.get(), 1);
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 1, "only the over-threshold query is logged: {text}");
@@ -2210,7 +1787,7 @@ mod tests {
         // a logged line carries the qid + phase profile and a null trace.
         let slow = SlowLog::open(&path, 50, false).unwrap();
         assert!(!slow.traced);
-        let counters = ServeCounters::default();
+        let metrics = MetricsRegistry::new();
         let answer = Answer {
             doc: serde_json::json!({}),
             succeeded: true,
@@ -2220,7 +1797,7 @@ mod tests {
             trace: None,
             error: None,
         };
-        slow.maybe_log("laggard", &answer, &counters);
+        slow.maybe_log("laggard", &answer, &metrics);
         let text = std::fs::read_to_string(&path).unwrap();
         let doc: serde_json::Value = serde_json::from_str(text.lines().next().unwrap()).unwrap();
         assert_eq!(doc["qid"], 9u64, "{doc}");
@@ -2250,9 +1827,9 @@ mod tests {
         b.add_edge(x, q, "rel");
         b.add_edge(s, q, "rel");
         let ws = WikiSearch::build_with(b.build(), Backend::Sequential);
-        let counters = ServeCounters::default();
+        let info = test_info();
         // Before any query: gauges at zero, the optional views null.
-        let doc = top_snapshot(&ws, &counters);
+        let doc = top_document(&Capture::take(&ws, None, &info, Some(TOP_WINDOW_S)));
         assert_eq!(doc["in_flight"], 0u64, "{doc}");
         assert_eq!(doc["qids_issued"], 0u64, "{doc}");
         assert!(doc["slowest_recent"].is_null(), "{doc}");
@@ -2260,9 +1837,9 @@ mod tests {
         assert!(doc["breakers"].is_null(), "not serving remotely: {doc}");
         // After a served query the recent ring and the qid counter move.
         let qid = ws.issue_query_id();
-        let answer = answer_query(&ws, "xml sql", &QueryBudget::unlimited(), &counters, false, qid);
+        let answer = answer_query(&ws, "xml sql", &QueryBudget::unlimited(), Mode::Query, qid);
         assert!(answer.succeeded);
-        let doc = top_snapshot(&ws, &counters);
+        let doc = top_document(&Capture::take(&ws, None, &info, Some(TOP_WINDOW_S)));
         assert_eq!(doc["qids_issued"], 1u64, "{doc}");
         assert_eq!(doc["slowest_recent"]["qid"], qid, "{doc}");
         assert!(doc["slowest_recent"]["wall_ms"].is_number(), "{doc}");
@@ -2275,24 +1852,22 @@ mod tests {
         let s = b.add_node("s", "sql");
         b.add_edge(x, s, "rel");
         let ws = WikiSearch::build_with(b.build(), Backend::Sequential);
-        let doc = stats_window(&ws, 5);
+        let info = test_info();
+        let doc = window_document(&Capture::take(&ws, None, &info, Some(5)), 5);
         assert_eq!(doc["error"], "window unavailable", "{doc}");
         // Feed the ring by hand the way the sampler does: a boot sample,
         // some queries, a second sample one "second" later.
-        let snap = |t_us: u64, served: u64| TelemetrySample {
-            t_us,
-            served,
-            snapshot: ws.metrics_snapshot(),
-        };
-        ws.telemetry().record_sample(&snap(0, 0));
-        let counters = ServeCounters::default();
+        let snap = |t_us: u64| TelemetrySample { t_us, snapshot: ws.metrics_snapshot() };
+        ws.telemetry().record_sample(&snap(0));
         for _ in 0..3 {
             let qid = ws.issue_query_id();
-            let a = answer_query(&ws, "xml sql", &QueryBudget::unlimited(), &counters, false, qid);
+            let a = answer_query(&ws, "xml sql", &QueryBudget::unlimited(), Mode::Query, qid);
             assert!(a.succeeded);
+            // Count the success the way `serve_one_request` does.
+            ws.metrics().served.inc();
         }
-        ws.telemetry().record_sample(&snap(1_000_000, 3));
-        let doc = stats_window(&ws, 5);
+        ws.telemetry().record_sample(&snap(1_000_000));
+        let doc = window_document(&Capture::take(&ws, None, &info, Some(5)), 5);
         assert_eq!(doc["queries"], 3u64, "{doc}");
         assert_eq!(doc["served"], 3u64, "{doc}");
         assert_eq!(doc["window_s"], 5u64, "{doc}");
@@ -2310,5 +1885,69 @@ mod tests {
         let mut out = Vec::new();
         let err = serve(&args, &mut out).unwrap_err();
         assert!(err.contains("--slow-query-ms"), "{err}");
+    }
+
+    #[test]
+    fn readme_documents_every_declared_stats_key_and_metrics_family() {
+        let readme = include_str!("../../../README.md");
+        let documented = |name: &str| readme.contains(&format!("`{name}`"));
+        let mut missing: Vec<String> = Vec::new();
+        let mut check = |name: String| {
+            if !documented(&name) {
+                missing.push(name);
+            }
+        };
+        for series in COUNTERS {
+            series.stats.iter().for_each(|key| check(key.to_string()));
+            series.prometheus.iter().for_each(|(name, _)| check(name.to_string()));
+        }
+        for series in HISTOGRAMS {
+            let block = quantiles(&HistogramSnapshot::empty(), series.micros);
+            for (key, _) in block.as_object().unwrap() {
+                check(format!("{}.{key}", series.stats));
+            }
+            check(series.prometheus.0.to_string());
+        }
+        fn names<T>(table: Families<T>) -> Vec<&'static str> {
+            table.iter().map(|family| family.0).collect()
+        }
+        let tables = [
+            names(POOL_FAMILIES),
+            names(CACHE_FAMILIES),
+            names(SHARD_FAMILIES),
+            names(BATCH_FAMILIES),
+            names(REMOTE_FAMILIES),
+            names(TELEMETRY_FAMILIES),
+        ];
+        tables.concat().into_iter().for_each(|name| check(name.to_string()));
+        assert!(missing.is_empty(), "README.md does not document {missing:?}");
+    }
+
+    #[test]
+    fn prometheus_rendering_is_wellformed() {
+        let h = central::LogHistogram::new();
+        h.record(1500);
+        h.record(3000);
+        let mut out = String::new();
+        prometheus(&mut out, "ws_queries_total", "Queries served.", Family::Counter(2));
+        let snap = h.snapshot();
+        prometheus(
+            &mut out,
+            "ws_latency_seconds",
+            "Query latency.",
+            Family::Histogram(&snap, 1e-6),
+        );
+        assert!(out.contains("# TYPE ws_queries_total counter"));
+        assert!(out.contains("ws_queries_total 2"));
+        assert!(out.contains("# TYPE ws_latency_seconds histogram"));
+        assert!(out.contains("ws_latency_seconds_bucket{le=\"+Inf\"} 2"));
+        assert!(out.contains("ws_latency_seconds_count 2"));
+        // Cumulative bucket counts never decrease.
+        let mut last = 0u64;
+        for line in out.lines().filter(|l| l.contains("_bucket")) {
+            let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
+            assert!(v >= last, "{line}");
+            last = v;
+        }
     }
 }

@@ -359,3 +359,36 @@ fn batched_soak_keeps_good_answers_byte_identical() {
     assert!(log.contains("batching 5000us x4"), "{log}");
     let _ = std::fs::remove_file(path);
 }
+
+/// The server's `timeouts`/`budget_exhausted` counters and the engine's
+/// `deadline_exceeded`/`budget_exhausted` counters count the same
+/// events: one deadline trip and one expansion-budget trip on each of
+/// QUERY and EXPLAIN leave them equal, at two apiece.
+#[test]
+fn server_and_engine_budget_counters_agree() {
+    let path = graph_file("counters");
+    let port = free_port();
+    let _server = spawn_server(format!(
+        "serve --graph {path} --port {port} --backend seq --workers 1 \
+         --timeout-ms 200 --max-expansions 1"
+    ));
+    let mut stream = connect(port);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for (request, error) in [
+        ("QUERY xml fault0sleep1000", "deadline_exceeded"),
+        ("EXPLAIN xml fault0sleep1000", "deadline_exceeded"),
+        ("QUERY xml sql", "budget_exhausted"),
+        ("EXPLAIN xml sql", "budget_exhausted"),
+    ] {
+        let response = roundtrip(&mut stream, &mut reader, request);
+        assert!(response.contains(error), "{request}: {response}");
+    }
+    let stats: serde_json::Value =
+        serde_json::from_str(&roundtrip(&mut stream, &mut reader, "STATS")).unwrap();
+    assert_eq!(stats["timeouts"], stats["engine"]["deadline_exceeded"], "{stats}");
+    assert_eq!(stats["budget_exhausted"], stats["engine"]["budget_exhausted"], "{stats}");
+    assert_eq!(stats["timeouts"], 2u64, "{stats}");
+    assert_eq!(stats["budget_exhausted"], 2u64, "{stats}");
+    writeln!(stream, "QUIT").unwrap();
+    let _ = std::fs::remove_file(path);
+}

@@ -108,3 +108,70 @@ proptest! {
         writeln!(stream, "QUIT").unwrap();
     }
 }
+
+/// A client that pipelines requests but never reads its answers must not
+/// pin the server's only worker: once the socket buffers fill, the stuck
+/// response write hits the server's write deadline (2 s), that
+/// connection is closed, and the next client is served.
+#[test]
+fn a_client_that_never_reads_cannot_pin_the_only_worker() {
+    let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+    let port = probe.local_addr().unwrap().port();
+    drop(probe);
+    let path = std::env::temp_dir()
+        .join(format!("ws-proto-hog-{}.tsv", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let mut b = kgraph::GraphBuilder::new();
+    let x = b.add_node("x", "xml");
+    let s = b.add_node("s", "sql");
+    b.add_edge(x, s, "rel");
+    std::fs::write(&path, kgraph::io::to_tsv(&b.build())).unwrap();
+    let argv: Vec<String> = format!("serve --graph {path} --port {port} --backend seq --workers 1")
+        .split_whitespace()
+        .map(String::from)
+        .collect();
+    std::thread::spawn(move || {
+        let args = wikisearch_cli::args::parse(&argv).unwrap();
+        let mut out = Vec::new();
+        let _ = wikisearch_cli::serve::serve(&args, &mut out);
+    });
+    let connect = || {
+        for _ in 0..150 {
+            if let Ok(stream) = TcpStream::connect(("127.0.0.1", port)) {
+                return stream;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        panic!("server never came up on port {port}");
+    };
+
+    // Client A: thousands of METRICS requests (each answer is kilobytes,
+    // together far more than the loopback socket buffers hold), and not
+    // one byte read back. The writer thread is detached: at a server
+    // without a write deadline it may block for good.
+    let hog = connect();
+    let mut hog_writer = hog.try_clone().unwrap();
+    std::thread::spawn(move || {
+        let _ = hog_writer.write_all("METRICS\n".repeat(8000).as_bytes());
+    });
+    std::thread::sleep(Duration::from_millis(500));
+
+    // Client B queues behind A on the single worker. Its PING must be
+    // answered within a few write deadlines (a stalled write can make a
+    // little progress, and restart the deadline, as A's kernel frees
+    // buffer space) plus a margin.
+    let mut client = connect();
+    client.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut reader = BufReader::new(client.try_clone().unwrap());
+    writeln!(client, "PING").unwrap();
+    let mut response = String::new();
+    let read = reader.read_line(&mut response);
+    assert!(
+        matches!(read, Ok(n) if n > 0),
+        "the second client was never served while the first stopped reading: {read:?}"
+    );
+    assert_eq!(response.trim(), "PONG");
+    drop(hog);
+    let _ = std::fs::remove_file(path);
+}

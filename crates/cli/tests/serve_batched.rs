@@ -1,7 +1,6 @@
 //! Wire-level batch invariance: a `--batch-window-us 500` server answers
 //! the full line protocol — QUERY (cache miss and hit), EXPLAIN, budget
-//! errors — byte-identically to a `--batch-window-us 0` server, on both
-//! the thread-per-connection and the `--async-io true` front ends, and
+//! errors — byte-identically to a `--batch-window-us 0` server, and
 //! concurrent clients whose queries actually fuse into shared batches
 //! still get byte-identical answers. Flag validation is pinned too.
 
@@ -129,8 +128,7 @@ fn run_exchange(path: &str, extra: &str) -> (Vec<String>, String) {
 }
 
 /// The wire-level acceptance check: the full exchange through a batching
-/// server is byte-identical to an unbatched one, and the async front end
-/// preserves that identity in both modes.
+/// server is byte-identical to an unbatched one.
 #[test]
 fn batched_server_is_byte_identical_to_unbatched() {
     let path = graph_file("identity");
@@ -141,14 +139,6 @@ fn batched_server_is_byte_identical_to_unbatched() {
     assert!(log500.contains("batching 500us x8"), "{log500}");
     assert!(log0.contains("served 5 queries"), "{log0}");
     assert!(log500.contains("served 5 queries"), "{log500}");
-
-    let (async_unbatched, alog0) = run_exchange(&path, "--async-io true --batch-window-us 0");
-    let (async_batched, alog500) =
-        run_exchange(&path, "--async-io true --batch-window-us 500 --batch-max 8");
-    assert_eq!(async_unbatched, unbatched, "async front end changed unbatched responses");
-    assert_eq!(async_batched, unbatched, "async front end changed batched responses");
-    assert!(alog0.contains("async-io"), "{alog0}");
-    assert!(alog500.contains("async-io"), "{alog500}");
     let _ = std::fs::remove_file(path);
 }
 

@@ -762,12 +762,12 @@ impl WikiSearch {
         let outcome = match result {
             Ok(outcome) => outcome,
             Err(e) => {
-                match e.kind() {
-                    "deadline_exceeded" => self.metrics.deadline_exceeded.inc(),
-                    "budget_exhausted" => self.metrics.budget_exhausted.inc(),
-                    "shard_unavailable" => self.metrics.shard_unavailable.inc(),
-                    _ => {}
-                }
+                let failures = match e {
+                    SearchError::DeadlineExceeded { .. } => &self.metrics.deadline_exceeded,
+                    SearchError::BudgetExhausted { .. } => &self.metrics.budget_exhausted,
+                    SearchError::ShardUnavailable { .. } => &self.metrics.shard_unavailable,
+                };
+                failures.inc();
                 // Failed queries count on the recent ring too — a
                 // deadline-exceeded query is slow by definition.
                 self.note_recent(qid, started);
@@ -824,13 +824,16 @@ impl WikiSearch {
 
     /// The engine's live serving-metrics registry (see
     /// [`central::metrics`]). Counters and histograms accumulate across
-    /// every search path — cache hits, computed searches, and failures.
+    /// every search path — cache hits, computed searches, and failures —
+    /// and the server's front end counts its own events (responses
+    /// served, connections shed, panics, …) in the same registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
 
     /// A plain-data snapshot of the metrics registry — what the server's
-    /// `STATS` and `METRICS` verbs are rendered from.
+    /// `STATS`, `TOP` and `METRICS` verbs and its telemetry samples are
+    /// rendered from.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
     }

@@ -185,7 +185,6 @@ proptest! {
                     // sample recorded mid-stream.
                     observed.telemetry().record_sample(&TelemetrySample {
                         t_us: (i as u64 + 1) * 1_000,
-                        served: i as u64,
                         snapshot: observed.metrics_snapshot(),
                     });
                     let got = observed.try_search_with_params_tagged(
